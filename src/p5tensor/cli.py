@@ -22,64 +22,34 @@ _TENSOR_COLUMNS = ("row", "class", "multiplier", "wedge", "wedge_center",
                    "tensor", "tensor_center", "capable")
 
 
-def _fmt_parts(parts, p, numeric):
-    return format_type(parts, prime=p if numeric else None)
-
-
-def _table_rows(p, which, numeric):
+def _table_rows(p, columns):
+    """One dict per catalog row: column name -> recorded value."""
     rows = []
     for spec in families.list_families():
         e = families.expected_record(spec, p)
-        if which == "structure":
-            rows.append({
-                "row": e.row,
-                "class": str(e.cl),
-                "multiplier": _fmt_parts(e.multiplier, p, numeric),
-                "center": _fmt_parts(e.center, p, numeric),
-                "derived": _fmt_parts(e.derived, p, numeric),
-                "ab": _fmt_parts(e.ab, p, numeric),
-                "nabla": _fmt_parts(e.nabla, p, numeric),
-                "j2": _fmt_parts(e.j2, p, numeric),
-            })
-        else:
-            rows.append({
-                "row": e.row,
-                "class": str(e.cl),
-                "multiplier": _fmt_parts(e.multiplier, p, numeric),
-                "wedge": e.wedge.format(p if numeric else None),
-                "wedge_center": _fmt_parts(e.wedge_center, p, numeric),
-                "tensor": e.tensor.format(p if numeric else None),
-                "tensor_center": _fmt_parts(e.tensor_center, p, numeric),
-                "capable": "yes" if e.capable else "no",
-            })
+        rows.append({c: getattr(e, "cl" if c == "class" else c)
+                     for c in columns})
     return rows
 
 
-def _json_table(p, which):
-    rows = []
-    for spec in families.list_families():
-        e = families.expected_record(spec, p)
-        if which == "structure":
-            rows.append({
-                "row": e.row, "class": e.cl,
-                "multiplier": list(e.multiplier),
-                "center": list(e.center), "derived": list(e.derived),
-                "ab": list(e.ab), "nabla": list(e.nabla),
-                "j2": list(e.j2),
-            })
-        else:
-            rows.append({
-                "row": e.row, "class": e.cl,
-                "multiplier": list(e.multiplier),
-                "wedge": {"abelian_part": list(e.wedge_parts),
-                          "e1_factor": e.wedge_e1},
-                "wedge_center": list(e.wedge_center),
-                "tensor": {"abelian_part": list(e.tensor_parts),
-                           "e1_factor": e.tensor_e1},
-                "tensor_center": list(e.tensor_center),
-                "capable": e.capable,
-            })
-    return {"prime": p, "which": which, "rows": rows}
+def _text_cell(value, prime):
+    """A table value as text; `prime` is None for orders written in p."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, (str, int)):
+        return str(value)
+    if isinstance(value, tuple):
+        return format_type(value, prime=prime)
+    return value.format(prime)
+
+
+def _json_cell(value):
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, invariants.TensorStructure):
+        return {"abelian_part": list(value.abelian_part),
+                "e1_factor": value.e1_factor}
+    return value
 
 
 def _print_aligned(columns, rows, out):
@@ -93,13 +63,18 @@ def _print_aligned(columns, rows, out):
 
 def cmd_table(args, out):
     which = args.which
-    if args.format == "json":
-        json.dump(_json_table(args.prime, which), out, indent=1)
-        out.write("\n")
-        return 0
-    rows = _table_rows(args.prime, which, args.numeric)
     columns = (_STRUCTURE_COLUMNS if which == "structure"
                else _TENSOR_COLUMNS)
+    rows = _table_rows(args.prime, columns)
+    if args.format == "json":
+        doc = {"prime": args.prime, "which": which,
+               "rows": [{c: _json_cell(v) for c, v in r.items()}
+                        for r in rows]}
+        json.dump(doc, out, indent=1)
+        out.write("\n")
+        return 0
+    prime = args.prime if args.numeric else None
+    rows = [{c: _text_cell(v, prime) for c, v in r.items()} for r in rows]
     if args.format == "csv":
         writer = csv.DictWriter(out, fieldnames=columns)
         writer.writeheader()
@@ -208,11 +183,12 @@ def cmd_group(args, out):
         return 0
     if args.show == "elements":
         report = consistency_check(P)
-        n = len(enumerate_elements(P))
+        elements = enumerate_elements(P)
+        n = len(elements)
         print(f"consistency: {'ok' if report.ok else 'FAILED'}", file=out)
         print(f"order: {n} = {p}^5" if n == p ** 5 else f"order: {n}",
               file=out)
-        sample = sorted(enumerate_elements(P))[:8]
+        sample = sorted(elements)[:8]
         for el in sample:
             word = " ".join(f"g{i + 1}^{e}" if e > 1 else f"g{i + 1}"
                             for i, e in enumerate(el) if e) or "1"
@@ -283,7 +259,9 @@ def _env_seed():
     try:
         return int(raw, 10)
     except ValueError:
-        return DEFAULT_SEED
+        raise families.BadParam(
+            f"P5TENSOR_SEED must be a base-10 integer, got {raw!r}") \
+            from None
 
 
 def build_parser():
@@ -336,10 +314,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "verify":
-        args.seed = _env_seed()
     out = sys.stdout
     try:
+        if getattr(args, "seed", None) is None and args.command == "verify":
+            args.seed = _env_seed()
         return args.func(args, out)
     except families.BadParam as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,13 @@ power all the bulk machinery: subgroup closures, centers, series,
 quotients, order censuses.  Tests compare the two routes on random
 words, so a bug in either is caught by the other.
 
+Each invariant has one runtime route.  The exponent is the largest
+order of the five generators, which is exact because every group here
+is regular (see `exponent`).  `quotient` builds G/N from coset
+representatives; no invariant uses it, and it stays public as the
+independent route to G^ab that the tests hold against the abelian
+calculus.
+
 Because collection is total, the closure of the generators always
 produces exactly p^5 normal forms; detecting a *bad* presentation is
 therefore the job of the consistency triples (the classical
@@ -188,46 +195,62 @@ class PcPresentation:
 # collection (the presentation-level route)
 
 def _collect_ctx(P: PcPresentation):
-    """Precompiled swap pushes and power-tail suffixes for the collector."""
+    """Precompiled conjugates, blockers and power-tail suffixes for the
+    collector."""
     ctx = P._cctx
     if ctx is None:
-        # swap_push[k][j]: letters to process after peeling one g_k past
-        # g_j, already reversed for stack.extend
-        swap_push = [[None] * 6 for _ in range(6)]
-        for (k, j2) in _PAIRS:
-            seq = [j2, k] + _letters(P.comm_tails[(k, j2)])
-            swap_push[k][j2] = tuple(reversed(seq))
+        # lift[j][k]: letters of g_j^-1 g_k g_j = g_k [g_k, g_j], already
+        # reversed for stack.extend; blockers[j]: the k > j with
+        # [g_k, g_j] != 1, ascending
+        lift = [[None] * 6 for _ in range(6)]
+        blockers = [()] * 6
         suffix = [None] * 6
         for j in range(1, 6):
+            for k in range(j + 1, 6):
+                tail = P.comm_tails[(k, j)]
+                lift[j][k] = tuple(reversed([k] + _letters(tail)))
+                if any(tail):
+                    blockers[j] += (k,)
             suffix[j] = list(P.power_tails[j - 1][j:])
-        ctx = (P.prime - 1, swap_push, suffix)
+        ctx = (P.prime - 1, lift, blockers, suffix)
         P._cctx = ctx
     return ctx
 
 
 def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
-    """Absorb the letters on `stack` (top = next) into normal form `out`."""
-    pm1, swap_push, suffix = _collect_ctx(P)
+    """Absorb the letters on `stack` (top = next) into normal form `out`.
+
+    Collection from the left: a letter g_j lands in place once every
+    generator above it in `out` commutes with it (and, when g_j^p
+    wraps to its tail, once nothing is above it).  Otherwise the part w
+    of `out` from the lowest such generator up is lifted off, and
+    out * g_j = (out / w) * g_j * w^(g_j) goes back on the stack, with
+    w^(g_j) the product of the conjugates g_k [g_k, g_j].
+    """
+    pm1, lift, blockers, suffix = _collect_ctx(P)
     pop = stack.pop
     extend = stack.extend
     while stack:
         j = pop()
-        if j == 5 or not (out[4] or (j < 4 and (out[3] or (j < 3 and
-                (out[2] or (j < 2 and out[1])))))):
-            # nothing above j: the letter lands in place
-            ej = out[j - 1]
-            if ej == pm1:
-                out[j - 1] = 0
-                out[j:] = suffix[j]
-            else:
-                out[j - 1] = ej + 1
+        for k in blockers[j]:
+            if out[k - 1]:
+                break
         else:
-            k = 5
-            while not out[k - 1] or k == j:
-                k -= 1
-            # peel one g_k and swap: g_k g_j = g_j g_k [g_k, g_j]
-            out[k - 1] -= 1
-            extend(swap_push[k][j])
+            if out[j - 1] != pm1:
+                out[j - 1] += 1
+                continue
+            if not any(out[j:]):
+                out[j - 1] = 0
+                out[j:] = suffix[j]  # g_j^p = tail
+                continue
+            # the power tail must land below the part above g_j: lift it
+            k = j + 1
+        for m in range(5, k - 1, -1):
+            e = out[m - 1]
+            if e:
+                extend(lift[j][m] * e)
+                out[m - 1] = 0
+        stack.append(j)
 
 
 def _gen_inverse_letters(P: PcPresentation, i: int) -> list:
@@ -708,6 +731,29 @@ class PcGroup:
             gens = gens + escaped
             idxs = self.closure_idxs(gens)
 
+    def greedy_gens(self, idxs) -> list:
+        """Generators of the closed set `idxs`: each element, in the given
+        order, that the earlier picks do not yet generate.
+
+        A subgroup of order p^5 needs at most five.  Raises ValueError
+        when a picked span leaves the set, i.e. the set is not closed
+        under multiplication.
+        """
+        inside = np.zeros(self.n, dtype=bool)
+        inside[idxs] = True
+        have = np.zeros(self.n, dtype=bool)
+        have[0] = True
+        gens = []
+        for x in idxs:
+            x = int(x)
+            if not have[x]:
+                gens.append(x)
+                span = self.closure_idxs(gens)
+                if not inside[span].all():
+                    raise ValueError("set is not closed under multiplication")
+                have[span] = True
+        return gens
+
     def center_data(self):
         if self._center_idxs is None:
             npr = self.np_r
@@ -715,18 +761,8 @@ class PcGroup:
             mask = np.ones(self.n, dtype=bool)
             for i in range(1, 6):
                 mask &= npr[i] == linv[i][0]
-            idxs = np.flatnonzero(mask)
-            # greedy generating subset; a p-group of order p^5 needs <= 5
-            gens = []
-            have = np.zeros(self.n, dtype=bool)
-            have[0] = True
-            for x in idxs:
-                x = int(x)
-                if not have[x]:
-                    gens.append(x)
-                    have[self.closure_idxs(gens)] = True
-            self._center_idxs = idxs
-            self._center_gens = gens
+            self._center_idxs = np.flatnonzero(mask)
+            self._center_gens = self.greedy_gens(self._center_idxs)
         return self._center_idxs, self._center_gens
 
     def coset_reps(self, sub_gen_idxs) -> np.ndarray:
@@ -752,54 +788,6 @@ class PcGroup:
                 frontier = (np.unique(np.concatenate(nxt))
                             if nxt else np.array([], dtype=np.int64))
         return rep
-
-    # -- invariants ------------------------------------------------------------
-
-    def exponent_value(self) -> int:
-        """Largest element order, via the center-coset splitting.
-
-        For central z the binomial collapse (r z)^m = r^m z^m is exact,
-        so the p^k-torsion census factors through one table of k-th
-        iterated p-powers on the center and one chain per coset rep.
-        """
-        zidxs, zgens = self.center_data()
-        if len(zidxs) == self.n:
-            reps = [0]
-        else:
-            rep = self.coset_reps(zgens)
-            reps = [int(x) for x in
-                    np.flatnonzero(rep == np.arange(self.n))]
-
-        # iterated p-power tables over the center (abelian, BFS fill)
-        zlist = [int(x) for x in zidxs]
-        zpos = {e: i for i, e in enumerate(zlist)}
-        fmap = {0: 0}
-        disc = [0]
-        fgen = {g: self.pow_idx(g, self.p) for g in zgens}
-        head = 0
-        while head < len(disc):
-            x = disc[head]
-            head += 1
-            for g in zgens:
-                y = self.mult_idx(x, g)
-                if y not in fmap:
-                    fmap[y] = self.mult_idx(fmap[x], fgen[g])
-                    disc.append(y)
-        f1_vals = np.array([fmap[z] for z in zlist], dtype=np.int64)
-        f1_pos = np.array([zpos[fmap[z]] for z in zlist], dtype=np.int64)
-
-        inv = self.inv
-        cur_vals = f1_vals
-        cur_reps = {r: self.pow_idx(r, self.p) for r in reps}
-        for k in range(1, 7):
-            counter = collections.Counter(int(v) for v in cur_vals)
-            total = sum(counter.get(inv[cur_reps[r]], 0) for r in reps)
-            if total == self.n:
-                return self.p**k if k > 0 else 1
-            cur_vals = cur_vals[f1_pos]
-            cur_reps = {r: self.pow_idx(v, self.p)
-                        for r, v in cur_reps.items()}
-        raise AssertionError("element order exceeded p^6; tables corrupt")
 
 
 _GROUP_CACHE: "collections.OrderedDict[PcPresentation, PcGroup]" = \
@@ -922,7 +910,14 @@ def nilpotency_class(P: PcPresentation) -> int:
 
 
 def exponent(P: PcPresentation) -> int:
-    return _group(P).exponent_value()
+    """Largest element order, read off the five pc generators.
+
+    Every group of order p^5 has class <= 4 < p (PcPresentation refuses
+    p < 5), so it is regular (P. Hall, Proc. LMS 36, 1934); in a regular
+    p-group the elements of order dividing p^k form a subgroup, and exp G
+    is the largest order among any generating set.
+    """
+    return max(order_of(generator(i), P) for i in range(1, 6))
 
 
 def quotient(P: PcPresentation, N: Subgroup) -> Quotient:
@@ -949,31 +944,8 @@ def abelian_invariants_of(elements, P: PcPresentation) -> AbelianType:
         gens = list(elements.gen_idxs)
     else:
         idxs = sorted(g.idx_of(e) for e in elements)
-        elem_set = set(idxs)
-        if 0 not in elem_set:
+        if not idxs or idxs[0] != 0:
             raise ValueError("element set lacks the identity")
-        # greedy generators within the given set
-        gens = []
-        have = {0}
-        for x in idxs:
-            if x not in have:
-                gens.append(x)
-                boundary = [0]
-                have = {0}
-                while boundary:
-                    cur = boundary.pop()
-                    for h in gens:
-                        y = g.mult_idx(cur, h)
-                        if y not in elem_set:
-                            raise ValueError(
-                                "set is not closed under multiplication")
-                        if y not in have:
-                            have.add(y)
-                            boundary.append(y)
+        gens = g.greedy_gens(idxs)
     gens = [x for x in gens if x != 0]
     return _census_type(idxs, g.mult_idx, gens, g.p)
-
-
-def ab_invariants(P: PcPresentation) -> AbelianType:
-    """Engine route to G^ab: census of the quotient by the derived subgroup."""
-    return quotient(P, derived_subgroup(P)).abelian_invariants()

@@ -1,12 +1,13 @@
 import pytest
 
 from p5tensor import compute_record, validate
+from p5tensor.pcgroup import PcGroup, _rmul1
 
 
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run the slow full-enumeration sweeps",
+        help="run the slow p = 11 collector-vs-tables sweep",
     )
 
 
@@ -37,3 +38,26 @@ def records():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def collector_mismatches():
+    """First (element, j) where the collector's x * g_j differs from the
+    table R[j], or None when they agree on all p^5 elements.
+
+    Agreement everywhere implies that the collector closes the
+    generators to all p^5 elements: from the identity, right
+    multiplication by g1, ..., g5 in turn reaches every normal form
+    through R.
+    """
+
+    def first(P):
+        g = PcGroup(P)
+        digs, R = g.digs, g.R
+        for idx, e in enumerate(digs):
+            for j in range(1, 6):
+                if _rmul1(P, e, j) != digs[R[j][idx]]:
+                    return e, j
+        return None
+
+    return first

@@ -130,6 +130,18 @@ def test_verify_seed_flag_and_env(capsys, monkeypatch):
     assert rc == 0
 
 
+def test_verify_rejects_malformed_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("P5TENSOR_SEED", "12x")
+    rc, out, err = run(capsys, "verify", "--prime", "5", "--family", "13")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: P5TENSOR_SEED") and "'12x'" in err
+    # an explicit --seed never reads the variable
+    rc, out, _ = run(capsys, "verify", "--prime", "5", "--family", "13",
+                     "--seed", "7")
+    assert rc == 0 and "(seed 7)" in out
+
+
 def test_verify_flags_a_corrupted_table(capsys, monkeypatch):
     doc = copy.deepcopy(families._data())
     doc["rows"]["5"]["center"] = [3]

@@ -1,10 +1,11 @@
 """Collector, tables, and subgroup machinery on five-generator
 power-commutator presentations."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p5tensor import build
+from p5tensor import ab_from_presentation, build, list_families
 from p5tensor.pcgroup import (
     IDENTITY,
     InconsistentPresentation,
@@ -30,6 +31,7 @@ from p5tensor.pcgroup import (
     power,
     quotient,
     subgroup_closure,
+    _group,
 )
 
 P5 = 5
@@ -212,3 +214,56 @@ def test_exponent_values():
     assert exponent(heisenberg()) == P5
     assert exponent(build("14", P5)) == P5**3
     assert exponent(build("17", P5)) == P5**2
+
+
+# --- reference routes (test oracles, not runtime routes) ------------------
+
+ALL_ROWS = [s.id for s in list_families()]
+VARIANTS_P7 = [("11", {"k": 2}), ("12", {"k": 2}), ("48", {"k": 2}),
+               ("50", {"k": 2}), ("29", {"a": 2}), ("33", {"b": 2})]
+
+
+def largest_order_brute_force(P):
+    """Largest element order over all p^5 elements, from the tables.
+
+    Forms x -> x^p on every element at once with numpy, then iterates it
+    until every element has reached the identity.
+    """
+    g = _group(P)
+    p = g.p
+    every = np.arange(g.n)
+    digits = np.array(g.digs, dtype=np.int64)
+    npr = g.np_r
+
+    def times_every(a):
+        # a[x] * x for every x: apply R[m] as often as x's m-th exponent
+        for m in range(1, 6):
+            for d in range(1, p):
+                a = np.where(digits[:, m - 1] >= d, npr[m][a], a)
+        return a
+
+    pth = every
+    for _ in range(p - 1):
+        pth = times_every(pth)
+    steps, cur = 0, every
+    while cur.any():
+        cur = pth[cur]
+        steps += 1
+    return p**steps
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_exponent_matches_brute_force_element_orders(p):
+    groups = [(row, None) for row in ALL_ROWS]
+    if p == 7:
+        groups += VARIANTS_P7
+    for row, params in groups:
+        P = build(row, p, params)
+        assert exponent(P) == largest_order_brute_force(P), (row, params)
+
+
+def test_quotient_by_derived_subgroup_is_the_abelianization():
+    for row in ALL_ROWS:
+        P = build(row, P5)
+        got = quotient(P, derived_subgroup(P)).abelian_invariants()
+        assert got == ab_from_presentation(P), row
