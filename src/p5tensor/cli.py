@@ -11,8 +11,8 @@ import sys
 
 from . import families, invariants, oracles
 from .abelian import format_type
-from .pcgroup import InconsistentPresentation, consistency_check
-from .pcgroup import enumerate_elements
+from .pcgroup import (GroupTooLarge, InconsistentPresentation,
+                      consistency_check, enumerate_elements)
 
 DEFAULT_SEED = 1105
 
@@ -319,7 +319,7 @@ def main(argv=None):
         if getattr(args, "seed", None) is None and args.command == "verify":
             args.seed = _env_seed()
         return args.func(args, out)
-    except families.BadParam as exc:
+    except (families.BadParam, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InconsistentPresentation as exc:

@@ -20,8 +20,12 @@ is a direct stack-based collector working from the relations alone.
 The PcGroup tables are built by a different recursion (peeling the
 highest generator letter and composing previously built tables) and
 power all the bulk machinery: subgroup closures, centers, series,
-quotients, order censuses.  Tests compare the two routes on random
-words, so a bug in either is caught by the other.
+quotients, order censuses.  They are numpy arrays over the p^5 element
+indices, filled in peel order one level (letter, exponent) at a time.
+A group whose p^5 elements exceed the table limit (p > 13) is refused
+with GroupTooLarge before anything of that size is allocated.
+Tests compare the two routes on every element, so a bug in either is
+caught by the other.
 
 Each invariant has one runtime route.  The exponent is the largest
 order of the five generators, which is exact because every group here
@@ -39,6 +43,7 @@ well-definedness conditions), not of element counting.
 from __future__ import annotations
 
 import collections
+import itertools
 
 import numpy as np
 
@@ -50,6 +55,21 @@ IDENTITY: Element = (0, 0, 0, 0, 0)
 
 _PAIRS = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
           (5, 1), (5, 2), (5, 3), (5, 4))
+
+
+# element slots of the group cache; also the largest group with tables
+_CACHE_SLOTS = 400_000
+
+
+class GroupTooLarge(ValueError):
+    """p^5 exceeds the element slots that the tables may hold."""
+
+
+def _refuse_large(p: int) -> None:
+    if p**5 > _CACHE_SLOTS:
+        raise GroupTooLarge(
+            f"p = {p}: the {p**5} elements of a group of order p^5 exceed "
+            f"the table limit of {_CACHE_SLOTS}")
 
 
 class InconsistentPresentation(Exception):
@@ -301,8 +321,10 @@ def enumerate_elements(P: PcPresentation) -> frozenset:
     """Closure of the generators under right multiplication (collector route).
 
     Returns all p^5 normal forms; anything else raises
-    InconsistentPresentation.
+    InconsistentPresentation.  Groups above the table limit raise
+    GroupTooLarge.
     """
+    _refuse_large(P.prime)
     seen = {IDENTITY}
     frontier = [IDENTITY]
     while frontier:
@@ -517,131 +539,107 @@ def _census_type(elems, mult, gens, p) -> AbelianType:
 class PcGroup:
     """Multiplication tables and bulk machinery for one presentation.
 
-    Construction runs the consistency triples first and refuses a bad
+    Construction refuses a group whose p^5 elements exceed the table
+    limit, then runs the consistency triples and refuses a bad
     presentation; the tables below would silently build nonsense
-    otherwise.  R[j] maps an element index to (element * g_j); L[i]
-    likewise on the left.  Everything else composes those.
+    otherwise.  Every table is one numpy int64 array per generator over
+    the element indices: R[j][x] = x g_j, and lazily L[i][x] = g_i x,
+    its inverse permutation x -> g_i^-1 x, the inverse table and
+    conj[i][x] = g_i^-1 x g_i.  R, L and the inverse are filled in peel
+    order by `_peel`.
     """
 
     def __init__(self, P: PcPresentation):
+        _refuse_large(P.prime)
         report = consistency_check(P)
         if not report.ok:
             raise InconsistentPresentation(report.failures[0])
         self.P = P
         p = self.p = P.prime
-        n = self.n = p**5
+        self.n = p**5
         self.strides = (p**4, p**3, p**2, p, 1)
-
-        digs = [None] * n
-        idx = 0
-        for e1 in range(p):
-            for e2 in range(p):
-                for e3 in range(p):
-                    for e4 in range(p):
-                        for e5 in range(p):
-                            digs[idx] = (e1, e2, e3, e4, e5)
-                            idx += 1
-        self.digs = digs
-
-        # highest nonzero generator index and the peel parent
-        hk = [0] * n
-        par = [0] * n
-        strides = self.strides
-        for idx in range(1, n):
-            e = digs[idx]
-            k = 5
-            while not e[k - 1]:
-                k -= 1
-            hk[idx] = k
-            par[idx] = idx - strides[k - 1]
-        self._hk = hk
-        self._par = par
+        self.digs = list(itertools.product(range(p), repeat=5))
 
         self.R = [None] * 6
         for j in range(5, 0, -1):
             self.R[j] = self._build_r(j)
-        self._np_r = None
+        self._left = None
         self._inv = None
-        self._linv = None
         self._conj = None
-        self._center_idxs = None
-        self._center_gens = None
+        self._center = None
+        self._derived = None
 
     # -- table construction ------------------------------------------------
 
-    def _build_r(self, j: int) -> list:
-        p, n = self.p, self.n
-        strides = self.strides
-        sj = strides[j - 1]
-        digs = self.digs
-        hk = self._hk
+    def _peel(self, tab: np.ndarray, step, above: int = 0) -> np.ndarray:
+        """Fill tab[x] = step(k, tab[x / g_k]) for every x whose highest
+        letter g_k lies above g_`above`; `tab` must already hold the rest.
+
+        Level (k, e) holds the x that end in g_k^e.  Their parents x / g_k
+        end in g_k^(e-1), or for e = 1 in a lower letter, so the levels
+        are filled in order (k, e) = (above+1, 1) ... (5, p-1), each by
+        one gather over all its entries.
+        """
+        p = self.p
+        for k in range(above + 1, 6):
+            level = tab.reshape(-1, p, self.strides[k - 1])[:, :, 0]
+            for e in range(1, p):
+                level[:, e] = step(k, level[:, e - 1])
+        return tab
+
+    def _build_r(self, j: int) -> np.ndarray:
+        """x g_j; for x = y g_k with k > j, x g_j = (y g_j) g_k [g_k, g_j]
+        reads tables already built."""
+        p, s = self.p, self.strides[j - 1]
+        tail = sum(t * st for t, st in zip(self.P.power_tails[j - 1],
+                                           self.strides))
+        tab = np.empty(self.n, dtype=np.int64)
+        # no letter above g_j: raise e_j, wrapping g_j^p to its tail
+        x = np.arange(0, self.n, s)
+        tab[::s] = np.where(x // s % p == p - 1, x - (p - 1) * s + tail,
+                            x + s)
         R = self.R
-        wrap = (p - 1) * sj
-        tail = self.P.power_tails[j - 1]
-        tail_off = sum(tail[m] * strides[m] for m in range(5))
-        comm_letters = {k: _letters(self.P.comm_tails[(k, j)])
-                        for k in range(j + 1, 6)}
-        pm1 = p - 1
-        tab = [0] * n
-        for idx in range(n):
-            k = hk[idx]
-            if k > j:
-                r = tab[idx - strides[k - 1]]
-                r = R[k][r]
-                for t in comm_letters[k]:
-                    r = R[t][r]
-                tab[idx] = r
-            elif digs[idx][j - 1] == pm1:
-                tab[idx] = idx - wrap + tail_off
-            else:
-                tab[idx] = idx + sj
-        return tab
+        chain = {k: [k] + _letters(self.P.comm_tails[(k, j)])
+                 for k in range(j + 1, 6)}
+
+        def step(k, v):
+            for t in chain[k]:
+                v = R[t][v]
+            return v
+
+        return self._peel(tab, step, above=j)
 
     @property
-    def np_r(self):
-        if self._np_r is None:
-            self._np_r = [None] + [np.array(self.R[j], dtype=np.int64)
-                                   for j in range(1, 6)]
-        return self._np_r
-
-    def _build_l(self, i: int) -> list:
-        R, hk, par = self.R, self._hk, self._par
-        tab = [0] * self.n
-        tab[0] = self.strides[i - 1]
-        for idx in range(1, self.n):
-            tab[idx] = R[hk[idx]][tab[par[idx]]]
-        return tab
-
-    @property
-    def linv(self):
-        """Left multiplication by each generator inverse, as numpy perms."""
-        if self._linv is None:
-            self._linv = [None] * 6
+    def left(self):
+        """(L, Linv): L[i][x] = g_i x, and Linv[i][x] = g_i^-1 x, its
+        inverse permutation; g_i (y g_k) = (g_i y) g_k."""
+        if self._left is None:
+            R, n = self.R, self.n
+            L, Linv = [None] * 6, [None] * 6
             for i in range(1, 6):
-                l_np = np.array(self._build_l(i), dtype=np.int64)
-                inv_perm = np.empty(self.n, dtype=np.int64)
-                inv_perm[l_np] = np.arange(self.n)
-                self._linv[i] = (l_np, inv_perm)
-        return self._linv
+                tab = np.empty(n, dtype=np.int64)
+                tab[0] = self.strides[i - 1]
+                L[i] = self._peel(tab, lambda k, v: R[k][v])
+                Linv[i] = np.empty(n, dtype=np.int64)
+                Linv[i][L[i]] = np.arange(n)
+            self._left = (L, Linv)
+        return self._left
 
     @property
-    def inv(self) -> list:
+    def inv(self) -> np.ndarray:
+        """x^-1; (y g_k)^-1 = g_k^-1 y^-1."""
         if self._inv is None:
-            linv = self.linv
-            hk, par = self._hk, self._par
-            tab = [0] * self.n
-            for idx in range(1, self.n):
-                tab[idx] = int(linv[hk[idx]][1][tab[par[idx]]])
-            self._inv = tab
+            Linv = self.left[1]
+            tab = np.zeros(self.n, dtype=np.int64)
+            self._inv = self._peel(tab, lambda k, v: Linv[k][v])
         return self._inv
 
     @property
     def conj(self):
-        """conj[i][x] = g_i^-1 x g_i as numpy permutations."""
+        """conj[i][x] = g_i^-1 x g_i."""
         if self._conj is None:
-            npr = self.np_r
-            self._conj = [None] + [npr[i][self.linv[i][1]]
-                                   for i in range(1, 6)]
+            Linv = self.left[1]
+            self._conj = [None] + [self.R[i][Linv[i]] for i in range(1, 6)]
         return self._conj
 
     # -- element plumbing ----------------------------------------------------
@@ -660,10 +658,10 @@ class PcGroup:
             tab = R[m]
             for _ in range(d):
                 a = tab[a]
-        return a
+        return int(a)
 
     def inv_idx(self, a: int) -> int:
-        return self.inv[a]
+        return int(self.inv[a])
 
     def pow_idx(self, a: int, m: int) -> int:
         m %= self.n  # element orders divide p^5
@@ -684,10 +682,9 @@ class PcGroup:
     def _perm_of(self, gidx: int) -> np.ndarray:
         """Right multiplication by a fixed element, as a full permutation."""
         perm = np.arange(self.n, dtype=np.int64)
-        npr = self.np_r
         for m, d in enumerate(self.digs[gidx], start=1):
             for _ in range(d):
-                perm = npr[m][perm]
+                perm = self.R[m][perm]
         return perm
 
     # -- subgroup machinery --------------------------------------------------
@@ -755,44 +752,50 @@ class PcGroup:
         return gens
 
     def center_data(self):
-        if self._center_idxs is None:
-            npr = self.np_r
-            linv = self.linv
+        """Z(G) as (element indices, generators)."""
+        if self._center is None:
+            L = self.left[0]
             mask = np.ones(self.n, dtype=bool)
             for i in range(1, 6):
-                mask &= npr[i] == linv[i][0]
-            self._center_idxs = np.flatnonzero(mask)
-            self._center_gens = self.greedy_gens(self._center_idxs)
-        return self._center_idxs, self._center_gens
+                mask &= self.R[i] == L[i]
+            idxs = np.flatnonzero(mask)
+            self._center = (idxs, self.greedy_gens(idxs))
+        return self._center
+
+    def derived_data(self):
+        """G' as (element indices, generators): the normal closure of the
+        generator commutators."""
+        if self._derived is None:
+            strides = self.strides
+            seeds = [self.comm_idx(strides[j], strides[i])
+                     for j in range(1, 5) for i in range(j)]
+            d = self.normal_closure_subgroup([c for c in seeds if c])
+            self._derived = (d.idxs, d.gen_idxs)
+        return self._derived
 
     def coset_reps(self, sub_gen_idxs) -> np.ndarray:
         """rep[x] = least element of the coset x*<gens> (gens normal or not,
-        the scan only relies on orbit partitioning)."""
-        rep = np.full(self.n, -1, dtype=np.int64)
+        the propagation only relies on orbit partitioning).
+
+        Each pass lowers every label to the least label one generator step
+        away, then jumps each label to its own label; the labels stay
+        inside the orbit and stop changing once each orbit carries its
+        least element.
+        """
         perms = [self._perm_of(int(g)) for g in sub_gen_idxs if int(g) != 0]
-        for idx in range(self.n):
-            if rep[idx] >= 0:
-                continue
-            orbit = np.array([idx], dtype=np.int64)
-            rep[idx] = idx
-            frontier = orbit
-            while frontier.size:
-                nxt = []
-                for perm in perms:
-                    img = perm[frontier]
-                    new = img[rep[img] < 0]
-                    if new.size:
-                        new = np.unique(new)
-                        rep[new] = idx
-                        nxt.append(new)
-                frontier = (np.unique(np.concatenate(nxt))
-                            if nxt else np.array([], dtype=np.int64))
-        return rep
+        rep = np.arange(self.n, dtype=np.int64)
+        while True:
+            new = rep
+            for perm in perms:
+                new = np.minimum(new, new[perm])
+            new = new[new]
+            if np.array_equal(new, rep):
+                return rep
+            rep = new
 
 
 _GROUP_CACHE: "collections.OrderedDict[PcPresentation, PcGroup]" = \
     collections.OrderedDict()
-_CACHE_SLOTS = 400_000
 
 
 def _group(P: PcPresentation) -> PcGroup:
@@ -868,13 +871,8 @@ def normal_closure(gens, P: PcPresentation) -> Subgroup:
 
 def derived_subgroup(P: PcPresentation) -> Subgroup:
     g = _group(P)
-    seeds = []
-    for j in range(2, 6):
-        for i in range(1, j):
-            c = g.comm_idx(g.strides[j - 1], g.strides[i - 1])
-            if c:
-                seeds.append(c)
-    return g.normal_closure_subgroup(seeds)
+    idxs, gens = g.derived_data()
+    return Subgroup(g, gens, idxs)
 
 
 def center(P: PcPresentation) -> Subgroup:

@@ -53,7 +53,8 @@ def collector_mismatches():
 
     def first(P):
         g = PcGroup(P)
-        digs, R = g.digs, g.R
+        digs = g.digs
+        R = [None] + [g.R[j].tolist() for j in range(1, 6)]
         for idx, e in enumerate(digs):
             for j in range(1, 6):
                 if _rmul1(P, e, j) != digs[R[j][idx]]:

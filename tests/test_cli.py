@@ -155,3 +155,22 @@ def test_no_arguments_shows_usage():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_groups_above_the_table_limit_are_refused(capsys):
+    # p^5 = 1419857 elements at p = 17 exceed the table limit
+    rc, out, err = run(capsys, "verify", "--prime", "17", "--family", "1")
+    assert rc == 2
+    assert err.startswith("error: p = 17") and "table limit" in err
+    rc, out, err = run(capsys, "group", "--family", "1", "--prime", "17",
+                       "--show", "elements")
+    assert rc == 2
+    assert err.startswith("error: p = 17") and "table limit" in err
+
+
+def test_catalog_views_need_no_tables(capsys):
+    rc, out, _ = run(capsys, "table", "--prime", "17")
+    assert rc == 0 and "structure table at p = 17" in out
+    rc, out, _ = run(capsys, "group", "--family", "9", "--prime", "17",
+                     "--show", "presentation")
+    assert rc == 0 and "[g3,g1]" in out

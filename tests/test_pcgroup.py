@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from p5tensor import ab_from_presentation, build, list_families
 from p5tensor.pcgroup import (
     IDENTITY,
+    GroupTooLarge,
     InconsistentPresentation,
     NotAbelian,
     NotNormal,
+    PcGroup,
     PcPresentation,
     abelian_invariants_of,
     center,
@@ -142,6 +144,15 @@ def test_consistency_catches_bad_power_tail():
         center(bad)
 
 
+def test_tables_stop_at_the_table_limit():
+    assert PcGroup(PcPresentation(13)).n == 13**5
+    big = PcPresentation(17)
+    with pytest.raises(GroupTooLarge):
+        PcGroup(big)
+    with pytest.raises(GroupTooLarge):
+        enumerate_elements(big)
+
+
 def test_consistency_clean_on_good_presentations():
     for fam in ("1", "9", "24", "40", "64"):
         assert consistency_check(build(fam, P5)).ok
@@ -223,6 +234,25 @@ VARIANTS_P7 = [("11", {"k": 2}), ("12", {"k": 2}), ("48", {"k": 2}),
                ("50", {"k": 2}), ("29", {"a": 2}), ("33", {"b": 2})]
 
 
+def groups_at(p):
+    """The 72 rows at p, plus the parameter variants at p = 7."""
+    groups = [(row, None) for row in ALL_ROWS]
+    if p == 7:
+        groups += VARIANTS_P7
+    return groups
+
+
+def times_every(g, a):
+    """a[x] * x for every element x: apply R[m] as often as x's m-th
+    exponent, on all p^5 elements at once."""
+    every = np.arange(g.n)
+    for m in range(1, 6):
+        digit = every // g.strides[m - 1] % g.p
+        for d in range(1, g.p):
+            a = np.where(digit >= d, g.R[m][a], a)
+    return a
+
+
 def largest_order_brute_force(P):
     """Largest element order over all p^5 elements, from the tables.
 
@@ -232,19 +262,9 @@ def largest_order_brute_force(P):
     g = _group(P)
     p = g.p
     every = np.arange(g.n)
-    digits = np.array(g.digs, dtype=np.int64)
-    npr = g.np_r
-
-    def times_every(a):
-        # a[x] * x for every x: apply R[m] as often as x's m-th exponent
-        for m in range(1, 6):
-            for d in range(1, p):
-                a = np.where(digits[:, m - 1] >= d, npr[m][a], a)
-        return a
-
     pth = every
     for _ in range(p - 1):
-        pth = times_every(pth)
+        pth = times_every(g, pth)
     steps, cur = 0, every
     while cur.any():
         cur = pth[cur]
@@ -254,12 +274,40 @@ def largest_order_brute_force(P):
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_exponent_matches_brute_force_element_orders(p):
-    groups = [(row, None) for row in ALL_ROWS]
-    if p == 7:
-        groups += VARIANTS_P7
-    for row, params in groups:
+    for row, params in groups_at(p):
         P = build(row, p, params)
         assert exponent(P) == largest_order_brute_force(P), (row, params)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_left_inverse_and_conjugation_tables_on_every_element(p):
+    for row, params in groups_at(p):
+        g = _group(build(row, p, params))
+        every = np.arange(g.n)
+        L, Linv = g.left
+        for i in range(1, 6):
+            gi = np.full(g.n, g.strides[i - 1])
+            assert (L[i] == times_every(g, gi)).all(), (row, params, i)
+            assert (Linv[i][L[i]] == every).all(), (row, params, i)
+            assert (g.conj[i] == g.R[i][Linv[i]]).all(), (row, params, i)
+        assert not times_every(g, g.inv).any(), (row, params)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_coset_reps_are_least_coset_elements(p):
+    # rep[x]^-1 x in N puts rep[x] in x N; constant under N's generators
+    # and rep[x] <= x make it the least element there
+    for row, params in groups_at(p):
+        P = build(row, p, params)
+        g = _group(P)
+        for N in (derived_subgroup(P), center(P)):
+            rep = g.coset_reps(N.gen_idxs or [0])
+            inside = np.zeros(g.n, dtype=bool)
+            inside[N.idxs] = True
+            assert inside[times_every(g, g.inv[rep])].all(), (row, params)
+            assert (rep <= np.arange(g.n)).all(), (row, params)
+            for h in N.gen_idxs:
+                assert (rep[g._perm_of(h)] == rep).all(), (row, params)
 
 
 def test_quotient_by_derived_subgroup_is_the_abelianization():
