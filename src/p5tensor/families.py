@@ -64,23 +64,6 @@ class FamilySpec:
     params: tuple
     k_case: str | None = None
 
-    def param_domain(self, p=None):
-        """Human-readable description of the parameter domain."""
-        parts = []
-        for name in self.params:
-            if name == "k":
-                half = "(p-1)/2" if p is None else str((p - 1) // 2)
-                if self.k_case == "half":
-                    parts.append(f"k = {half}")
-                elif self.k_case == "other":
-                    parts.append(f"k in 1..{half}, k != {half}")
-                else:
-                    parts.append(f"k in 1..{half}")
-            else:
-                parts.append(f"{name} any integer (exponent of the "
-                             "primitive root)")
-        return "; ".join(parts) if parts else "no parameters"
-
 
 def _spec_for_row(row_id):
     data = _data()

@@ -13,7 +13,9 @@ for j > i, and every element has a unique normal form
     g1^e1 g2^e2 g3^e3 g4^e4 g5^e5,   0 <= e_i < p,
 
 reached by collection from the left.  Elements are plain 5-tuples of
-exponents; the identity is (0,0,0,0,0).
+exponents; the identity is (0,0,0,0,0).  Inside a PcGroup an element is
+only its integer index sum e_i p^(5-i); its exponents are read back by
+arithmetic, idx // p^(5-i) % p.
 
 Two independent multiplication routes coexist on purpose.  `normalize`
 is a direct stack-based collector working from the relations alone.
@@ -29,10 +31,13 @@ caught by the other.
 
 Each invariant has one runtime route.  The exponent is the largest
 order of the five generators, which is exact because every group here
-is regular (see `exponent`).  `quotient` builds G/N from coset
-representatives; no invariant uses it, and it stays public as the
-independent route to G^ab that the tests hold against the abelian
-calculus.
+is regular (see `exponent`).  The type of an abelian subgroup or
+quotient comes from one order census: the p-th power of every element,
+formed at once by a vectorised product on index arrays, is iterated to
+count the elements of order dividing p, p^2, ...  `quotient` builds
+G/N from coset representatives; no invariant uses it, and it stays
+public as the independent route to G^ab that the tests hold against
+the abelian calculus.
 
 Because collection is total, the closure of the generators always
 produces exactly p^5 normal forms; detecting a *bad* presentation is
@@ -43,7 +48,6 @@ well-definedness conditions), not of element counting.
 from __future__ import annotations
 
 import collections
-import itertools
 
 import numpy as np
 
@@ -123,15 +127,14 @@ class PcPresentation:
     Both accept length-5 exponent vectors; missing entries mean trivial.
     """
 
-    __slots__ = ("prime", "ngens", "power_tails", "comm_tails", "_key",
-                 "_inv_letters", "_cctx")
+    __slots__ = ("prime", "power_tails", "comm_tails", "_key",
+                 "_inv_letters", "_cctx", "_report")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = int(prime)
         if prime < 5 or not _is_prime(prime):
             raise ValueError(f"prime must be a prime >= 5, got {prime}")
         self.prime = prime
-        self.ngens = 5
 
         if power_tails is None:
             power_tails = {}
@@ -171,6 +174,7 @@ class PcPresentation:
                      tuple(full[pair] for pair in _PAIRS))
         self._inv_letters = None
         self._cctx = None
+        self._report = None
 
     def __eq__(self, other):
         return isinstance(other, PcPresentation) and self._key == other._key
@@ -368,8 +372,11 @@ def consistency_check(P: PcPresentation) -> ConsistencyReport:
     For k > j > i the two collection orders of g_k g_j g_i must agree,
     and the power relations must commute with the swaps:
     g_j^p g_i = g_j^(p-1) (g_j g_i), g_j g_i^p = (g_j g_i) g_i^(p-1),
-    g_i^p g_i = g_i g_i^p.  The report lists every failing word pair.
+    g_i^p g_i = g_i g_i^p.  The report lists every failing word pair;
+    it is computed once per presentation.
     """
+    if P._report is not None:
+        return P._report
     p = P.prime
 
     def collect(letters):
@@ -407,7 +414,8 @@ def consistency_check(P: PcPresentation) -> ConsistencyReport:
         if lhs != rhs:
             failures.append(
                 f"overlap g{i}^p g{i} != g{i} g{i}^p: {lhs} vs {rhs}")
-    return ConsistencyReport(failures)
+    P._report = ConsistencyReport(failures)
+    return P._report
 
 
 # ---------------------------------------------------------------------------
@@ -460,73 +468,46 @@ class Quotient:
     def __init__(self, g: "PcGroup", rep: np.ndarray):
         self._g = g
         self.rep = rep
-        self.reps = [int(x) for x in np.flatnonzero(
-            rep == np.arange(rep.size))]
+        self.reps = np.flatnonzero(rep == np.arange(rep.size))
         self.gen_reps = [int(rep[g.strides[i]]) for i in range(5)]
 
     @property
     def order(self) -> int:
-        return len(self.reps)
+        return int(self.reps.size)
 
     def mult(self, a: int, b: int) -> int:
         return int(self.rep[self._g.mult_idx(a, b)])
 
-    def element_of(self, ridx: int) -> Element:
-        return self._g.exps_of(ridx)
-
     def abelian_invariants(self) -> AbelianType:
-        gens = [r for r in self.gen_reps if r != 0]
-        return _census_type(self.reps, self.mult, gens, self._g.p)
+        _require_commuting(self.mult, [r for r in self.gen_reps if r])
+        reps = self.reps
+        return _census_type(reps, self.rep[self._g.pth(reps)], self._g.p)
 
     def __repr__(self):
         return f"Quotient(order={self.order})"
 
 
-def _census_type(elems, mult, gens, p) -> AbelianType:
+def _require_commuting(mult, gens) -> None:
+    """Raise NotAbelian unless the generators commute pairwise under
+    `mult`; a closed set they generate is then abelian."""
+    for a, x in enumerate(gens):
+        for y in gens[a + 1:]:
+            if mult(x, y) != mult(y, x):
+                raise NotAbelian(f"generators {x} and {y} do not commute")
+
+
+def _census_type(handles: np.ndarray, powers: np.ndarray, p: int) \
+        -> AbelianType:
     """Isomorphism type of an abelian group by order counting.
 
-    `elems` lists the element handles (identity = 0 must be present),
-    `mult` is the group operation on handles, `gens` a generating set.
-    The p-power map is extended from the generators by the homomorphism
-    property, which is exactly where commutativity is needed; generator
-    pairs are checked first.
+    `handles` is the sorted index array of its elements (the identity 0
+    first) and `powers[i]` the handle of handles[i]^p.  Iterating that
+    map counts the elements of order dividing p, p^2, ...
     """
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if mult(gens[a], gens[b]) != mult(gens[b], gens[a]):
-                raise NotAbelian(
-                    f"generators {gens[a]} and {gens[b]} do not commute")
-
-    def pw(x, m):
-        acc, base = 0, x
-        while m:
-            if m & 1:
-                acc = mult(acc, base)
-            base = mult(base, base)
-            m >>= 1
-        return acc
-
-    fgen = {g: pw(g, p) for g in gens}
-    fmap = {0: 0}
-    disc = [0]
-    head = 0
-    while head < len(disc):
-        x = disc[head]
-        head += 1
-        for g in gens:
-            y = mult(x, g)
-            if y not in fmap:
-                fmap[y] = mult(fmap[x], fgen[g])
-                disc.append(y)
-    if len(disc) != len(elems):
-        raise ValueError(
-            f"generators span {len(disc)} of {len(elems)} elements; "
-            "input is not the closed set they generate")
-    pos = {e: i for i, e in enumerate(disc)}
-    f1 = np.array([pos[fmap[e]] for e in disc], dtype=np.int64)
+    f1 = np.searchsorted(handles, powers)
     counts = [1]
     cur = f1
-    total = len(disc)
+    total = int(handles.size)
     for _ in range(7):
         counts.append(int(np.count_nonzero(cur == 0)))
         if counts[-1] == total:
@@ -558,7 +539,6 @@ class PcGroup:
         p = self.p = P.prime
         self.n = p**5
         self.strides = (p**4, p**3, p**2, p, 1)
-        self.digs = list(itertools.product(range(p), repeat=5))
 
         self.R = [None] * 6
         for j in range(5, 0, -1):
@@ -650,13 +630,14 @@ class PcGroup:
                 + e[3] * s[3] + e[4])
 
     def exps_of(self, idx: int) -> Element:
-        return self.digs[int(idx)]
+        p, x = self.p, int(idx)
+        s1, s2, s3, s4, _ = self.strides
+        return (x // s1, x // s2 % p, x // s3 % p, x // s4 % p, x % p)
 
     def mult_idx(self, a: int, b: int) -> int:
-        R = self.R
-        for m, d in enumerate(self.digs[b], start=1):
-            tab = R[m]
-            for _ in range(d):
+        p = self.p
+        for tab, s in zip(self.R[1:], self.strides):
+            for _ in range(b // s % p):
                 a = tab[a]
         return int(a)
 
@@ -681,11 +662,36 @@ class PcGroup:
 
     def _perm_of(self, gidx: int) -> np.ndarray:
         """Right multiplication by a fixed element, as a full permutation."""
+        p = self.p
         perm = np.arange(self.n, dtype=np.int64)
-        for m, d in enumerate(self.digs[gidx], start=1):
-            for _ in range(d):
-                perm = self.R[m][perm]
+        for tab, s in zip(self.R[1:], self.strides):
+            for _ in range(gidx // s % p):
+                perm = tab[perm]
         return perm
+
+    def mult_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a[i] b[i] for index arrays: R[m] is applied to a[i] as often
+        as b[i]'s m-th exponent."""
+        p = self.p
+        for tab, s in zip(self.R[1:], self.strides):
+            digit = b // s % p
+            for d in range(1, p):
+                sel = digit >= d
+                if not sel.any():
+                    break
+                a = np.where(sel, tab[a], a)
+        return a
+
+    def pth(self, x: np.ndarray) -> np.ndarray:
+        """x[i]^p for an index array, by square-and-multiply."""
+        acc, base, m = None, x, self.p
+        while True:
+            if m & 1:
+                acc = base if acc is None else self.mult_arrays(acc, base)
+            m >>= 1
+            if not m:
+                return acc
+            base = self.mult_arrays(base, base)
 
     # -- subgroup machinery --------------------------------------------------
 
@@ -741,15 +747,15 @@ class PcGroup:
         have = np.zeros(self.n, dtype=bool)
         have[0] = True
         gens = []
-        for x in idxs:
-            x = int(x)
-            if not have[x]:
-                gens.append(x)
-                span = self.closure_idxs(gens)
-                if not inside[span].all():
-                    raise ValueError("set is not closed under multiplication")
-                have[span] = True
-        return gens
+        while True:
+            rest = idxs[~have[idxs]]
+            if not rest.size:
+                return gens
+            gens.append(int(rest[0]))
+            span = self.closure_idxs(gens)
+            if not inside[span].all():
+                raise ValueError("set is not closed under multiplication")
+            have[span] = True
 
     def center_data(self):
         """Z(G) as (element indices, generators)."""
@@ -938,12 +944,14 @@ def abelian_invariants_of(elements, P: PcPresentation) -> AbelianType:
     """Isomorphism type of a closed abelian subset, by order counting."""
     g = _group(P)
     if isinstance(elements, Subgroup):
-        idxs = [int(x) for x in elements.idxs]
-        gens = list(elements.gen_idxs)
+        idxs, gens = elements.idxs, elements.gen_idxs
     else:
-        idxs = sorted(g.idx_of(e) for e in elements)
-        if not idxs or idxs[0] != 0:
+        idxs = np.array(sorted(g.idx_of(e) for e in elements),
+                        dtype=np.int64)
+        if not idxs.size or idxs[0] != 0:
             raise ValueError("element set lacks the identity")
+        if (idxs[1:] == idxs[:-1]).any():
+            raise ValueError("element set repeats an element")
         gens = g.greedy_gens(idxs)
-    gens = [x for x in gens if x != 0]
-    return _census_type(idxs, g.mult_idx, gens, g.p)
+    _require_commuting(g.mult_idx, [x for x in gens if x])
+    return _census_type(idxs, g.pth(idxs), g.p)

@@ -53,7 +53,7 @@ def collector_mismatches():
 
     def first(P):
         g = PcGroup(P)
-        digs = g.digs
+        digs = [g.exps_of(idx) for idx in range(g.n)]
         R = [None] + [g.R[j].tolist() for j in range(1, 6)]
         for idx, e in enumerate(digs):
             for j in range(1, 6):

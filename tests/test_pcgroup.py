@@ -204,6 +204,10 @@ def test_census_rejects_unclosed_set():
     P = heisenberg()
     with pytest.raises(ValueError):
         abelian_invariants_of([IDENTITY, generator(1)], P)
+    # closed as a set, but one element twice would double its count
+    z = subgroup_closure([generator(3)], P).elements
+    with pytest.raises(ValueError, match="repeats"):
+        abelian_invariants_of(list(z) + [generator(3)], P)
 
 
 def test_center_type_worked_example():
@@ -253,19 +257,19 @@ def times_every(g, a):
     return a
 
 
-def largest_order_brute_force(P):
-    """Largest element order over all p^5 elements, from the tables.
-
-    Forms x -> x^p on every element at once with numpy, then iterates it
-    until every element has reached the identity.
-    """
-    g = _group(P)
-    p = g.p
+def pth_brute_force(g):
+    """x -> x^p on every element at once, as p - 1 passes of times_every."""
     every = np.arange(g.n)
     pth = every
-    for _ in range(p - 1):
+    for _ in range(g.p - 1):
         pth = times_every(g, pth)
-    steps, cur = 0, every
+    return pth
+
+
+def largest_order_brute_force(pth, p):
+    """Largest element order, iterating the p-th power map `pth` on all
+    p^5 elements until every element has reached the identity."""
+    steps, cur = 0, np.arange(pth.size)
     while cur.any():
         cur = pth[cur]
         steps += 1
@@ -276,7 +280,10 @@ def largest_order_brute_force(P):
 def test_exponent_matches_brute_force_element_orders(p):
     for row, params in groups_at(p):
         P = build(row, p, params)
-        assert exponent(P) == largest_order_brute_force(P), (row, params)
+        g = _group(P)
+        pth = pth_brute_force(g)
+        assert (g.pth(np.arange(g.n)) == pth).all(), (row, params)
+        assert exponent(P) == largest_order_brute_force(pth, p), (row, params)
 
 
 @pytest.mark.parametrize("p", (5, 7))
