@@ -182,17 +182,10 @@ def compute_record(family, p, params=None, **extra):
     expectations (validation is a separate step)."""
     expected = families.expected_record(family, p, params, **extra)
     P = families.build(family, p, params, **extra)
-    zc = center(P)
-    if zc.order == P.prime ** 5:
-        center_type = ab_from_presentation(P)
-    else:
-        center_type = abelian_invariants_of(zc, P)
-    dv = derived_subgroup(P)
-    derived_type = abelian_invariants_of(dv, P) if dv.order > 1 else ()
     rec = InvariantRecord(
         family=expected.row, p=p, params=dict(expected.params),
-        center_type=center_type,
-        derived_type=derived_type,
+        center_type=abelian_invariants_of(center(P), P),
+        derived_type=abelian_invariants_of(derived_subgroup(P), P),
         ab_type=ab_from_presentation(P),
         cl=nilpotency_class(P),
         exponent=exponent(P),

@@ -17,32 +17,42 @@ exponents; the identity is (0,0,0,0,0).  Inside a PcGroup an element is
 only its integer index sum e_i p^(5-i); its exponents are read back by
 arithmetic, idx // p^(5-i) % p.
 
-Two independent multiplication routes coexist on purpose.  `normalize`
-is a direct stack-based collector working from the relations alone.
-The PcGroup tables are built by a different recursion (peeling the
-highest generator letter and composing previously built tables) and
-power all the bulk machinery: subgroup closures, centers, series,
-quotients, order censuses.  They are numpy arrays over the p^5 element
-indices, filled in peel order one level (letter, exponent) at a time.
-A group whose p^5 elements exceed the table limit (p > 13) is refused
-with GroupTooLarge before anything of that size is allocated.
-Tests compare the two routes on every element, so a bug in either is
-caught by the other.
+A subgroup is an induced pc sequence: at most five normal forms of
+distinct depths (the position of the first nonzero exponent), each with
+leading exponent 1, whose products s_1^e_1 ... s_m^e_m (0 <= e_i < p)
+are its p^m elements.  Closures, normal closures, the center, G', the
+lower central series, the class, the exponent and the abelian
+invariants of a subgroup all work on these sequences through the
+collector, at a cost polynomial in log|G|.  The pc series is central
+(every tail of [g_j, g_i] lies above g_j), which keeps the algebra
+small: a normal closure needs only p-th powers and commutators with
+g1..g5, and the center is cut out layer by layer as the kernel of a
+linear map to F_p^5.  The type of an abelian subgroup is the Smith
+normal form of its relative power relations.
 
-Each invariant has one runtime route.  The exponent is the largest
-order of the five generators, which is exact because every group here
-is regular (see `exponent`).  The type of an abelian subgroup or
-quotient comes from one order census: the p-th power of every element,
-formed at once by a vectorised product on index arrays, is iterated to
-count the elements of order dividing p, p^2, ...  `quotient` builds
-G/N from coset representatives; no invariant uses it, and it stays
-public as the independent route to G^ab that the tests hold against
-the abelian calculus.
+The element operations (`multiply`, `inverse`, `conjugate`,
+`commutator`, `power`, `order_of`) and `quotient` run on a second,
+independent route: PcGroup tables, numpy arrays over the p^5 element
+indices built by a different recursion (peeling the highest generator
+letter and composing previously built tables), filled in peel order
+one level (letter, exponent) at a time.  A group whose p^5 elements
+exceed the table limit (p > 13) is refused there with GroupTooLarge
+before anything of that size is allocated.  `quotient` builds G/N from
+coset representatives, and its type comes from an order census: the
+p-th power of every element, formed at once by a vectorised product on
+index arrays, is iterated to count the elements of order dividing p,
+p^2, ...  No invariant uses it; it stays public as the independent
+route to G^ab that the tests hold against the abelian calculus.  Tests
+compare the collector with the tables on every element, and the pc
+sequences with the table route's subgroups, so a bug in either route
+is caught by the other.
 
 Because collection is total, the closure of the generators always
 produces exactly p^5 normal forms; detecting a *bad* presentation is
 therefore the job of the consistency triples (the classical
-well-definedness conditions), not of element counting.
+well-definedness conditions), not of element counting.  Every subgroup
+routine and PcGroup run them first (the report is memoised), so a bad
+presentation raises InconsistentPresentation.
 """
 
 from __future__ import annotations
@@ -51,7 +61,8 @@ import collections
 
 import numpy as np
 
-from .abelian import AbelianType, canon, type_from_order_census
+from .abelian import (AbelianType, p_type_from_factors, snf,
+                      type_from_order_census)
 
 Element = tuple  # 5 exponents, each in [0, p)
 
@@ -418,47 +429,204 @@ def consistency_check(P: PcPresentation) -> ConsistencyReport:
     return P._report
 
 
+def _require_consistent(P: PcPresentation) -> None:
+    report = consistency_check(P)
+    if not report.ok:
+        raise InconsistentPresentation(report.failures[0])
+
+
 # ---------------------------------------------------------------------------
-# table-backed group machinery
+# subgroups as induced pc sequences (collector route)
+
+_GENS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+         (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+
+
+def _mul(a: Element, b: Element, P: PcPresentation) -> Element:
+    """a b, by collecting the letters of b into a."""
+    out = list(a)
+    stack = []
+    for i in range(4, -1, -1):
+        stack += [i + 1] * b[i]
+    _collect_into(out, stack, P)
+    return tuple(out)
+
+
+def _pow(x: Element, m: int, P: PcPresentation) -> Element:
+    """x^m for m >= 0, by square-and-multiply."""
+    acc = IDENTITY
+    while m:
+        if m & 1:
+            acc = _mul(acc, x, P)
+        m >>= 1
+        if m:
+            x = _mul(x, x, P)
+    return acc
+
+
+def _solve(u: Element, w: Element, P: PcPresentation) -> Element:
+    """The x with u x = w, one exponent at a time.
+
+    Right multiplication by g_k^e keeps the exponents below g_k and adds
+    e to the k-th one modulo p, so once u agrees with w below g_k, the
+    k-th exponent of x is their difference at g_k.
+    """
+    p = P.prime
+    u = list(u)
+    x = [0, 0, 0, 0, 0]
+    for k in range(5):
+        e = (w[k] - u[k]) % p
+        if e:
+            x[k] = e
+            _collect_into(u, [k + 1] * e, P)
+    return tuple(x)
+
+
+def _comm(a: Element, b: Element, P: PcPresentation) -> Element:
+    """[a, b], solved from (b a) [a, b] = a b."""
+    return _solve(_mul(b, a, P), _mul(a, b, P), P)
+
+
+def _depth(x: Element) -> int:
+    """Position of the first nonzero exponent; 5 for the identity."""
+    for d in range(5):
+        if x[d]:
+            return d
+    return 5
+
+
+def _by_depth(seq) -> list:
+    slots = [None] * 5
+    for s in seq:
+        slots[_depth(s)] = s
+    return slots
+
+
+def _sift(x: Element, slots: list, P: PcPresentation):
+    """Strip the leading exponents of x that the sequence covers.
+
+    `slots[d]` is the sequence element of depth d, or None.  Returns the
+    residue, its depth, and the leading exponent e_d stripped at each
+    depth d.  Each step multiplies by slots[d]^(p - e_d), so x is the
+    residue times the slots[d]^(e_d - p), deepest first.
+    """
+    p = P.prime
+    lead = [0, 0, 0, 0, 0]
+    for d in range(5):
+        e = x[d]
+        if e:
+            s = slots[d]
+            if s is None:
+                return x, d, lead
+            lead[d] = e
+            x = _mul(x, _pow(s, p - e, P), P)
+    return x, 5, lead
+
+
+def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
+    """Induced pc sequence of the subgroup the seeds generate, or with
+    `normal` of their normal closure: elements of distinct depths, each
+    with leading exponent 1, by increasing depth.
+
+    Each element s that sifts to a new depth is scaled to leading
+    exponent 1 and puts s^p and its commutators with the sequence so far
+    (with g1..g5 for a normal closure) on the queue.  Once everything
+    sifts to 1, s_j^p and the commutators involving s_j lie in
+    <s_(j+1), ...>, because the pc series is central and a commutator
+    with s_j lies deeper than s_j.  Going up from the deepest element,
+    each s_j then normalises <s_(j+1), ...> (for a normal closure, so
+    does every g_i), so the products s_1^e_1 ... s_m^e_m, 0 <= e_i < p,
+    form the subgroup.
+    """
+    p = P.prime
+    slots = [None] * 5
+    queue = list(seeds)
+    while queue:
+        x, d, _ = _sift(queue.pop(), slots, P)
+        if d == 5:
+            continue
+        x = _pow(x, pow(x[d], -1, p), P)
+        others = _GENS if normal else [s for s in slots if s is not None]
+        slots[d] = x
+        queue.append(_pow(x, p, P))
+        queue.extend(_comm(x, y, P) for y in others)
+    return tuple(s for s in slots if s is not None)
+
+
+def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
+    """C_stop, where C_d = {x : [x, G] <= G_d} and G_d holds the elements
+    of depth >= d; C_5 = Z(G).  Found layer by layer down the pc series.
+
+    On C_d, x -> ([x, g_i] at depth d)_i is a homomorphism to F_p^5
+    whose kernel is C_(d+1).  The kernel is normal in G and contains the
+    elements that eliminate to a zero row and the p-th powers of the
+    pivots; those generate it as a normal subgroup.  The zero rows take
+    in the sequence of G_d <= C_d, which holds [C_d, C_d], so modulo
+    them C_d is elementary abelian of rank at most the number of pivots.
+    C_2 = G: every tail of [g_j, g_i] lies above g_j with j >= 2.
+    """
+    p = P.prime
+    seq = _GENS
+    for d in range(2, stop):
+        pivots, seeds = [], []
+        for x in seq:
+            v = [_comm(x, g, P)[d] for g in _GENS]
+            for y, w, c in pivots:
+                if v[c]:
+                    f = v[c] * pow(w[c], -1, p) % p
+                    x = _mul(x, _pow(y, p - f, P), P)
+                    v = [(a - f * b) % p for a, b in zip(v, w)]
+            c = next((i for i in range(5) if v[i]), None)
+            if c is None:
+                seeds.append(x)
+            else:
+                seeds.append(_pow(x, p, P))
+                pivots.append((x, v, c))
+        if pivots:
+            seq = _closure(seeds, P, normal=True)
+    return seq
+
 
 class Subgroup:
-    """A subgroup as an explicit element set plus the generators found."""
+    """A subgroup as an induced pc sequence `generators`: elements of
+    distinct depths with leading exponent 1, whose products
+    s_1^e_1 ... s_m^e_m (0 <= e_i < p) are the subgroup."""
 
-    __slots__ = ("_g", "gen_idxs", "idxs", "_set", "_elements")
+    __slots__ = ("_P", "generators", "_elements")
 
-    def __init__(self, g: "PcGroup", gen_idxs, idxs):
-        self._g = g
-        self.gen_idxs = tuple(int(x) for x in gen_idxs)
-        self.idxs = np.asarray(idxs, dtype=np.int64)
-        self._set = None
+    def __init__(self, P: PcPresentation, generators):
+        self._P = P
+        self.generators = tuple(generators)
         self._elements = None
 
     @property
     def order(self) -> int:
-        return int(self.idxs.size)
-
-    def __len__(self):
-        return int(self.idxs.size)
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(self._g.exps_of(i) for i in self.gen_idxs)
+        return self._P.prime ** len(self.generators)
 
     @property
     def elements(self) -> tuple:
+        """Every element, in increasing exponent order."""
         if self._elements is None:
-            self._elements = tuple(self._g.exps_of(int(i))
-                                   for i in self.idxs)
+            P = self._P
+            elems = [IDENTITY]
+            for s in reversed(self.generators):
+                powers = [IDENTITY]
+                for _ in range(P.prime - 1):
+                    powers.append(_mul(powers[-1], s, P))
+                elems = [_mul(t, y, P) for t in powers for y in elems]
+            self._elements = tuple(sorted(elems))
         return self._elements
 
     def __contains__(self, e) -> bool:
-        if self._set is None:
-            self._set = set(int(i) for i in self.idxs)
-        return self._g.idx_of(e) in self._set
+        x = _as_vec(e, self._P.prime)
+        return _sift(x, _by_depth(self.generators), self._P)[1] == 5
 
     def __repr__(self):
-        return f"Subgroup(order={self.order}, ngens={len(self.gen_idxs)})"
+        return f"Subgroup(order={self.order}, ngens={len(self.generators)})"
 
+
+# ---------------------------------------------------------------------------
+# table-backed group machinery
 
 class Quotient:
     """G/N as canonical coset representatives with induced multiplication."""
@@ -518,7 +686,8 @@ def _census_type(handles: np.ndarray, powers: np.ndarray, p: int) \
 
 
 class PcGroup:
-    """Multiplication tables and bulk machinery for one presentation.
+    """Multiplication tables for the element operations and quotients of
+    one presentation.
 
     Construction refuses a group whose p^5 elements exceed the table
     limit, then runs the consistency triples and refuses a bad
@@ -532,9 +701,7 @@ class PcGroup:
 
     def __init__(self, P: PcPresentation):
         _refuse_large(P.prime)
-        report = consistency_check(P)
-        if not report.ok:
-            raise InconsistentPresentation(report.failures[0])
+        _require_consistent(P)
         self.P = P
         p = self.p = P.prime
         self.n = p**5
@@ -546,8 +713,6 @@ class PcGroup:
         self._left = None
         self._inv = None
         self._conj = None
-        self._center = None
-        self._derived = None
 
     # -- table construction ------------------------------------------------
 
@@ -693,92 +858,6 @@ class PcGroup:
                 return acc
             base = self.mult_arrays(base, base)
 
-    # -- subgroup machinery --------------------------------------------------
-
-    def closure_idxs(self, gen_idxs) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[0] = True
-        gen_idxs = [int(g) for g in gen_idxs if int(g) != 0]
-        perms = [self._perm_of(g) for g in gen_idxs]
-        frontier = np.array([0], dtype=np.int64)
-        while frontier.size:
-            nxt = []
-            for perm in perms:
-                img = perm[frontier]
-                new = img[~mask[img]]
-                if new.size:
-                    mask[new] = True
-                    nxt.append(np.unique(new))
-            frontier = (np.unique(np.concatenate(nxt))
-                        if nxt else np.array([], dtype=np.int64))
-        return np.flatnonzero(mask)
-
-    def subgroup(self, gen_idxs) -> Subgroup:
-        gen_idxs = [int(g) for g in gen_idxs]
-        return Subgroup(self, gen_idxs, self.closure_idxs(gen_idxs))
-
-    def normal_closure_subgroup(self, seed_idxs) -> Subgroup:
-        gens = [int(g) for g in seed_idxs if int(g) != 0]
-        idxs = self.closure_idxs(gens)
-        while True:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[idxs] = True
-            escaped = []
-            for i in range(1, 6):
-                img = self.conj[i][idxs]
-                out = img[~mask[img]]
-                if out.size:
-                    escaped.extend(int(x) for x in np.unique(out)[:4])
-            if not escaped:
-                return Subgroup(self, gens, idxs)
-            gens = gens + escaped
-            idxs = self.closure_idxs(gens)
-
-    def greedy_gens(self, idxs) -> list:
-        """Generators of the closed set `idxs`: each element, in the given
-        order, that the earlier picks do not yet generate.
-
-        A subgroup of order p^5 needs at most five.  Raises ValueError
-        when a picked span leaves the set, i.e. the set is not closed
-        under multiplication.
-        """
-        inside = np.zeros(self.n, dtype=bool)
-        inside[idxs] = True
-        have = np.zeros(self.n, dtype=bool)
-        have[0] = True
-        gens = []
-        while True:
-            rest = idxs[~have[idxs]]
-            if not rest.size:
-                return gens
-            gens.append(int(rest[0]))
-            span = self.closure_idxs(gens)
-            if not inside[span].all():
-                raise ValueError("set is not closed under multiplication")
-            have[span] = True
-
-    def center_data(self):
-        """Z(G) as (element indices, generators)."""
-        if self._center is None:
-            L = self.left[0]
-            mask = np.ones(self.n, dtype=bool)
-            for i in range(1, 6):
-                mask &= self.R[i] == L[i]
-            idxs = np.flatnonzero(mask)
-            self._center = (idxs, self.greedy_gens(idxs))
-        return self._center
-
-    def derived_data(self):
-        """G' as (element indices, generators): the normal closure of the
-        generator commutators."""
-        if self._derived is None:
-            strides = self.strides
-            seeds = [self.comm_idx(strides[j], strides[i])
-                     for j in range(1, 5) for i in range(j)]
-            d = self.normal_closure_subgroup([c for c in seeds if c])
-            self._derived = (d.idxs, d.gen_idxs)
-        return self._derived
-
     def coset_reps(self, sub_gen_idxs) -> np.ndarray:
         """rep[x] = least element of the coset x*<gens> (gens normal or not,
         the propagation only relies on orbit partitioning).
@@ -866,47 +945,36 @@ def generator(i: int) -> Element:
 
 
 def subgroup_closure(gens, P: PcPresentation) -> Subgroup:
-    g = _group(P)
-    return g.subgroup([g.idx_of(e) for e in gens])
+    _require_consistent(P)
+    return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P))
 
 
 def normal_closure(gens, P: PcPresentation) -> Subgroup:
-    g = _group(P)
-    return g.normal_closure_subgroup([g.idx_of(e) for e in gens])
+    _require_consistent(P)
+    return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P,
+                                normal=True))
 
 
 def derived_subgroup(P: PcPresentation) -> Subgroup:
-    g = _group(P)
-    idxs, gens = g.derived_data()
-    return Subgroup(g, gens, idxs)
+    """G': the normal closure of the commutator tails [g_j, g_i]."""
+    _require_consistent(P)
+    return Subgroup(P, _closure(P.comm_tails.values(), P, normal=True))
 
 
 def center(P: PcPresentation) -> Subgroup:
-    g = _group(P)
-    idxs, gens = g.center_data()
-    return Subgroup(g, gens, idxs)
+    _require_consistent(P)
+    return Subgroup(P, _center_seq(P))
 
 
 def lower_central_series(P: PcPresentation) -> list:
-    g = _group(P)
-    whole = Subgroup(g, [g.strides[i] for i in range(5)],
-                     np.arange(g.n, dtype=np.int64))
-    series = [whole]
-    current = derived_subgroup(P)
-    series.append(current)
-    while current.order > 1:
-        seeds = []
-        for h in current.gen_idxs:
-            for i in range(5):
-                c = g.comm_idx(h, g.strides[i])
-                if c:
-                    seeds.append(c)
-        nxt = g.normal_closure_subgroup(seeds)
-        series.append(nxt)
-        if nxt.order == current.order:
-            raise AssertionError("lower central series stalled")
-        current = nxt
-    return series
+    """G = gamma_1 > gamma_2 > ... > 1, with gamma_(c+1) the normal closure
+    of the [s, g_i] over the sequence s of gamma_c."""
+    _require_consistent(P)
+    series = [_GENS]
+    while series[-1]:
+        series.append(_closure([_comm(s, g, P) for s in series[-1]
+                                for g in _GENS], P, normal=True))
+    return [Subgroup(P, seq) for seq in series]
 
 
 def nilpotency_class(P: PcPresentation) -> int:
@@ -921,37 +989,62 @@ def exponent(P: PcPresentation) -> int:
     p-group the elements of order dividing p^k form a subgroup, and exp G
     is the largest order among any generating set.
     """
-    return max(order_of(generator(i), P) for i in range(1, 6))
+    _require_consistent(P)
+    p, best = P.prime, 1
+    for x in _GENS:
+        order = 1
+        while any(x):
+            x = _pow(x, p, P)
+            order *= p
+        best = max(best, order)
+    return best
 
 
 def quotient(P: PcPresentation, N: Subgroup) -> Quotient:
     g = _group(P)
-    nidxs = N.idxs
-    mask = np.zeros(g.n, dtype=bool)
-    mask[nidxs] = True
+    nidxs = [g.idx_of(s) for s in N.generators]
     for i in range(1, 6):
-        img = g.conj[i][nidxs]
-        if not mask[img].all():
-            bad = int(img[~mask[img]][0])
-            raise NotNormal(
-                f"conjugation by g{i} maps the subgroup outside itself "
-                f"(element {g.exps_of(bad)})")
-    rep = g.coset_reps(N.gen_idxs if N.gen_idxs else [0])
-    return Quotient(g, rep)
+        for h in nidxs:
+            img = g.exps_of(g.conj[i][h])
+            if img not in N:
+                raise NotNormal(
+                    f"conjugation by g{i} maps the subgroup outside itself "
+                    f"(element {img})")
+    return Quotient(g, g.coset_reps(nidxs or [0]))
 
 
 def abelian_invariants_of(elements, P: PcPresentation) -> AbelianType:
-    """Isomorphism type of a closed abelian subset, by order counting."""
-    g = _group(P)
+    """Isomorphism type of an abelian subgroup, or of a closed abelian
+    element set, from the SNF of its relative power relations.
+
+    With s_j^p = prod_(l > j) s_l^c_l over the pc sequence s_1..s_m, the
+    rows p e_j - c span the relations among the s_j: they lie in the
+    relation lattice and their triangular matrix has determinant p^m,
+    the order of the subgroup.
+    """
+    _require_consistent(P)
+    p = P.prime
     if isinstance(elements, Subgroup):
-        idxs, gens = elements.idxs, elements.gen_idxs
+        seq = elements.generators
     else:
-        idxs = np.array(sorted(g.idx_of(e) for e in elements),
-                        dtype=np.int64)
-        if not idxs.size or idxs[0] != 0:
+        elems = [_as_vec(e, p) for e in elements]
+        distinct = set(elems)
+        if IDENTITY not in distinct:
             raise ValueError("element set lacks the identity")
-        if (idxs[1:] == idxs[:-1]).any():
+        if len(distinct) < len(elems):
             raise ValueError("element set repeats an element")
-        gens = g.greedy_gens(idxs)
-    _require_commuting(g.mult_idx, [x for x in gens if x])
-    return _census_type(idxs, g.pth(idxs), g.p)
+        seq = _closure(elems, P)
+        if p ** len(seq) != len(elems):
+            raise ValueError("set is not closed under multiplication")
+    _require_commuting(lambda x, y: _mul(x, y, P), seq)
+    slots = _by_depth(seq)
+    column = {_depth(s): j for j, s in enumerate(seq)}
+    rows = []
+    for j, s in enumerate(seq):
+        row = [0] * len(seq)
+        row[j] = p
+        for d, e in enumerate(_sift(_pow(s, p, P), slots, P)[2]):
+            if e:
+                row[column[d]] -= e - p
+        rows.append(row)
+    return p_type_from_factors(snf(rows), p)

@@ -7,7 +7,8 @@ from p5tensor.pcgroup import PcGroup, _rmul1
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run the slow p = 11 collector-vs-tables sweep",
+        help="run the slow p = 11 sweeps of the collector and the pc "
+             "sequences against the tables",
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from p5tensor import families
 from p5tensor.cli import main
+from p5tensor.pcgroup import GroupTooLarge, generator, multiply
 
 
 def run(capsys, *argv):
@@ -157,15 +158,41 @@ def test_no_arguments_shows_usage():
     assert exc.value.code == 2
 
 
+def test_verify_reports_a_row_that_breaks_an_identity(capsys, monkeypatch):
+    # a recorded wedge of order p^5 breaks |wedge| = |multiplier||derived|
+    doc = copy.deepcopy(families._data())
+    doc["rows"]["3"]["wedge"] = [1, 1, 1, 1, 1]
+    monkeypatch.setattr(families, "_data", lambda: doc)
+    rc, out, _ = run(capsys, "verify", "--prime", "5")
+    assert rc == 1
+    lines = out.splitlines()
+    at = lines.index(next(x for x in lines if x.startswith("  row 3:")))
+    assert lines[at].startswith("  row 3: FAIL wedge-order: ")
+    assert sum("checks pass" in x for x in lines[at + 1:]) > 0
+    assert sum("checks pass" in x for x in lines) == 71
+    assert lines[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("p", (11, 13))
+def test_verify_at_more_primes(capsys, p):
+    rc, out, _ = run(capsys, "verify", "--prime", str(p))
+    assert rc == 0
+    assert out.count(" checks pass\n") == 72
+    assert out.splitlines()[-1] == "PASS"
+
+
 def test_groups_above_the_table_limit_are_refused(capsys):
-    # p^5 = 1419857 elements at p = 17 exceed the table limit
+    # p^5 = 1419857 elements at p = 17 exceed the table limit; verify
+    # needs no tables
     rc, out, err = run(capsys, "verify", "--prime", "17", "--family", "1")
-    assert rc == 2
-    assert err.startswith("error: p = 17") and "table limit" in err
+    assert rc == 0
+    assert out.splitlines()[-1] == "PASS"
     rc, out, err = run(capsys, "group", "--family", "1", "--prime", "17",
                        "--show", "elements")
     assert rc == 2
     assert err.startswith("error: p = 17") and "table limit" in err
+    with pytest.raises(GroupTooLarge):
+        multiply(generator(1), generator(2), families.build("1", 17))
 
 
 def test_catalog_views_need_no_tables(capsys):

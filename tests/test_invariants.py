@@ -17,12 +17,14 @@ from p5tensor import (
     expected_record,
     exterior_square,
     j2,
+    list_families,
     nabla,
     tensor_square,
     validate,
 )
 from p5tensor.abelian import canon, direct_sum, order_exponent
 from p5tensor.invariants import record_dict
+from p5tensor.pcgroup import _is_prime
 
 SCHEMA = Path(__file__).resolve().parents[1] / (
     "src/p5tensor/schema/invariant_record.schema.json")
@@ -142,3 +144,48 @@ def test_record_dict_matches_published_schema():
     for key in ("computed", "expected"):
         allowed = set(schema["properties"][key]["properties"])
         assert set(d[key]) <= allowed
+
+
+def test_every_row_passes_at_a_large_prime():
+    for spec in list_families():
+        rec = compute_record(spec.id, 101)
+        validate(rec)
+        assert rec.ok, spec.id
+
+
+def parameter_values(spec, p):
+    """Every value of each parameter that the row accepts at p: k over
+    1..(p-1)/2 within the row's subcase, a and b (exponents of the
+    primitive root) over 0..p-2."""
+    half = (p - 1) // 2
+    for name in spec.params:
+        if name != "k":
+            values = range(p - 1)
+        elif spec.k_case == "half":
+            values = [half]
+        elif spec.k_case == "other":
+            values = range(1, half)
+        else:
+            values = range(1, half + 1)
+        for v in values:
+            yield {name: v}
+
+
+def test_every_parameter_value_passes_at_p13():
+    count = 0
+    for spec in list_families():
+        for params in parameter_values(spec, 13):
+            rec = compute_record(spec.id, 13, params)
+            validate(rec)
+            assert rec.ok, (spec.id, params)
+            count += 1
+    assert count == 66
+
+
+@pytest.mark.slow
+def test_every_row_passes_at_every_prime_up_to_101():
+    for p in (q for q in range(5, 102) if _is_prime(q)):
+        for spec in list_families():
+            rec = compute_record(spec.id, p)
+            validate(rec)
+            assert rec.ok, (spec.id, p)

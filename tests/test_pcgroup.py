@@ -1,11 +1,15 @@
 """Collector, tables, and subgroup machinery on five-generator
 power-commutator presentations."""
 
+import collections
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p5tensor import ab_from_presentation, build, list_families
+from p5tensor import (ab_from_presentation, build, compute_record,
+                      list_families, pcgroup, validate)
 from p5tensor.pcgroup import (
     IDENTITY,
     GroupTooLarge,
@@ -14,6 +18,7 @@ from p5tensor.pcgroup import (
     NotNormal,
     PcGroup,
     PcPresentation,
+    Subgroup,
     abelian_invariants_of,
     center,
     commutator,
@@ -33,6 +38,8 @@ from p5tensor.pcgroup import (
     power,
     quotient,
     subgroup_closure,
+    _census_type,
+    _center_seq,
     _group,
 )
 
@@ -308,13 +315,152 @@ def test_coset_reps_are_least_coset_elements(p):
         P = build(row, p, params)
         g = _group(P)
         for N in (derived_subgroup(P), center(P)):
-            rep = g.coset_reps(N.gen_idxs or [0])
+            gen_idxs = [g.idx_of(s) for s in N.generators]
+            rep = g.coset_reps(gen_idxs or [0])
             inside = np.zeros(g.n, dtype=bool)
-            inside[N.idxs] = True
+            inside[[g.idx_of(e) for e in N.elements]] = True
             assert inside[times_every(g, g.inv[rep])].all(), (row, params)
             assert (rep <= np.arange(g.n)).all(), (row, params)
-            for h in N.gen_idxs:
+            for h in gen_idxs:
                 assert (rep[g._perm_of(h)] == rep).all(), (row, params)
+
+
+def closure_mask(g, seeds, normal=False):
+    """Table route: the subgroup the element indices `seeds` generate, or
+    with `normal` their normal closure, as a mask over the indices, by
+    breadth-first search under right multiplication by the seeds (and
+    conjugation by g1..g5)."""
+    perms = [g._perm_of(int(s)) for s in seeds]
+    if normal:
+        perms += g.conj[1:]
+    mask = np.zeros(g.n, dtype=bool)
+    mask[0] = True
+    frontier = np.array([0])
+    while frontier.size and perms:
+        img = np.concatenate([perm[frontier] for perm in perms])
+        frontier = np.unique(img[~mask[img]])
+        mask[frontier] = True
+    return mask
+
+
+def normal_closure_mask(g, candidates):
+    """Table route: the normal closure of the index array `candidates`,
+    adding as seed each candidate that the closure so far misses."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[0] = True
+    seeds = []
+    for c in np.unique(candidates):
+        if not mask[c]:
+            seeds.append(c)
+            mask = closure_mask(g, seeds, normal=True)
+    return mask
+
+
+def center_mask(g):
+    """Table route: x is central when x g_i = g_i x for every i."""
+    L = g.left[0]
+    mask = np.ones(g.n, dtype=bool)
+    for i in range(1, 6):
+        mask &= g.R[i] == L[i]
+    return mask
+
+
+def centralizing_masks(g):
+    """Table route: mask d, for d = 2, 3, 4, holds the x whose commutators
+    [x, g_i] = x^-1 (g_i^-1 x g_i) all have depth >= d, i.e. an index
+    below p^(5-d)."""
+    deepest = np.zeros(g.n, dtype=np.int64)
+    for i in range(1, 6):
+        deepest = np.maximum(deepest, g.mult_arrays(g.inv, g.conj[i]))
+    return {d: deepest < g.p ** (5 - d) for d in (2, 3, 4)}
+
+
+def lower_central_masks(g):
+    """Table route: gamma_(c+1) is the normal closure of [x, g_i] =
+    x^-1 (g_i^-1 x g_i) over every x in gamma_c."""
+    series = [np.ones(g.n, dtype=bool)]
+    while series[-1].sum() > 1:
+        x = np.flatnonzero(series[-1])
+        comms = [g.mult_arrays(g.inv[x], g.conj[i][x]) for i in range(1, 6)]
+        series.append(normal_closure_mask(g, np.concatenate(comms)))
+    return series
+
+
+def as_mask(g, sub):
+    """The products s_1^e_1 ... s_m^e_m of a pc sequence, formed with the
+    tables, as a mask; they must be p^m distinct elements."""
+    prods = np.zeros(1, dtype=np.int64)
+    for s in reversed(sub.generators):
+        powers = [0]
+        for _ in range(g.p - 1):
+            powers.append(g.mult_idx(powers[-1], g.idx_of(s)))
+        prods = g.mult_arrays(np.repeat(powers, prods.size),
+                              np.tile(prods, g.p))
+    mask = np.zeros(g.n, dtype=bool)
+    mask[prods] = True
+    assert mask.sum() == sub.order
+    return mask
+
+
+def census_type(g, mask):
+    idxs = np.flatnonzero(mask)
+    return _census_type(idxs, g.pth(idxs), g.p)
+
+
+@pytest.mark.parametrize(
+    "p", (5, 7, pytest.param(11, marks=pytest.mark.slow)))
+def test_pc_sequences_match_the_table_route(p):
+    rng = random.Random(p)
+    for row, params in groups_at(p):
+        P = build(row, p, params)
+        g = _group(P)
+        where = (row, params)
+        z, d = center(P), derived_subgroup(P)
+        assert (as_mask(g, z) == center_mask(g)).all(), where
+        for stop, mask in centralizing_masks(g).items():
+            sub = Subgroup(P, _center_seq(P, stop))
+            assert (as_mask(g, sub) == mask).all(), (where, stop)
+        assert abelian_invariants_of(z, P) == census_type(g, as_mask(g, z))
+        series = lower_central_masks(g)
+        assert (as_mask(g, d) == series[1]).all(), where
+        assert abelian_invariants_of(d, P) == census_type(g, series[1])
+        got = lower_central_series(P)
+        assert len(got) == len(series), where
+        for sub, mask in zip(got, series):
+            assert (as_mask(g, sub) == mask).all(), where
+        for k in (1, 2, 3):
+            seeds = [rng.randrange(g.n) for _ in range(k)]
+            elems = [g.exps_of(s) for s in seeds]
+            sub = subgroup_closure(elems, P)
+            assert (as_mask(g, sub) == closure_mask(g, seeds)).all(), where
+            sub = normal_closure(elems, P)
+            assert (as_mask(g, sub) ==
+                    closure_mask(g, seeds, normal=True)).all(), where
+            assert all(e in sub for e in elems), where
+
+
+def test_subgroup_elements_are_the_pc_products():
+    for row in ("2", "14", "40", "43", "70"):
+        P = build(row, P5)
+        g = _group(P)
+        for sub in (center(P), derived_subgroup(P)):
+            mask = as_mask(g, sub)
+            got = np.array([g.idx_of(e) for e in sub.elements])
+            assert (got == np.flatnonzero(mask)).all(), row
+            inside = [g.exps_of(x) in sub for x in range(g.n)]
+            assert (np.array(inside) == mask).all(), row
+
+
+def test_subgroup_routes_build_no_tables(monkeypatch):
+    def refuse(self, P):
+        raise AssertionError("PcGroup built")
+
+    monkeypatch.setattr(PcGroup, "__init__", refuse)
+    monkeypatch.setattr(pcgroup, "_GROUP_CACHE", collections.OrderedDict())
+    for row in ALL_ROWS:
+        rec = compute_record(row, 7)
+        validate(rec)
+        assert rec.ok, row
 
 
 def test_quotient_by_derived_subgroup_is_the_abelianization():
