@@ -11,6 +11,7 @@ matrices of the same random group.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,13 +151,12 @@ def gamma_relation_check(model: QuadraticModel, trials: int = 10_000,
     direct-sum expansion predicts.  For prime-power moduli that order
     is cross-checked against the partition-level gamma.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     mod = np.array(model.moduli, dtype=np.int64)
     vmod = np.array(model.value_moduli, dtype=np.int64)
-    shape = (trials, len(model.moduli))
-    a = rng.integers(0, mod, size=shape)
-    b = rng.integers(0, mod, size=shape)
-    c = rng.integers(0, mod, size=shape)
+    a = _random_points(rng, model.moduli, trials)
+    b = _random_points(rng, model.moduli, trials)
+    c = _random_points(rng, model.moduli, trials)
     g = model.gamma_of_array
 
     failures = []
@@ -178,8 +178,10 @@ def gamma_relation_check(model: QuadraticModel, trials: int = 10_000,
             f"six-term law fails at a={tuple(a[i])} b={tuple(b[i])} "
             f"c={tuple(c[i])}")
 
-    image = np.unique(g(model.all_elements()), axis=0)
-    span = subgroup_order([tuple(row) for row in image], model.value_moduli)
+    # distinct image rows in sorted order; np.unique would do the same,
+    # but its first call imports numpy.ma, which costs more than this
+    image = sorted(set(map(tuple, g(model.all_elements()).tolist())))
+    span = subgroup_order(image, model.value_moduli)
     expected = model.expected_image_span()
     if span != expected:
         failures.append(
@@ -213,18 +215,50 @@ def gamma_relation_check(model: QuadraticModel, trials: int = 10_000,
                         failures=tuple(failures))
 
 
-def _random_unimodular(r: int, rng) -> np.ndarray:
+def _random_points(rng: random.Random, moduli, count: int) -> np.ndarray:
+    """A (count, r) array whose column i is uniform modulo moduli[i], up
+    to a bias below moduli[i] / 2^64.  The bits come from one call to
+    the seeded generator; numpy's own generators would cost an import of
+    numpy.random on first use, more than the draws themselves."""
+    raw = np.frombuffer(rng.randbytes(8 * count * len(moduli)),
+                        dtype=np.uint64).reshape(count, len(moduli))
+    return (raw % np.array(moduli, dtype=np.uint64)).astype(np.int64)
+
+
+def _random_unimodular(r: int, rng: random.Random) -> np.ndarray:
     m = np.eye(r, dtype=np.int64)
     for _ in range(4 * r):
-        kind = rng.integers(0, 3)
-        i, j = rng.integers(0, r, size=2)
+        kind = rng.randrange(3)
+        i, j = rng.randrange(r), rng.randrange(r)
         if kind == 0 and i != j:
-            m[j] += int(rng.integers(-2, 3)) * m[i]
+            m[j] += rng.randint(-2, 2) * m[i]
         elif kind == 1:
             m[[i, j]] = m[[j, i]]
         else:
             m[i] = -m[i]
     return m
+
+
+# census elements are enumerated this many at a time: the arrays stay
+# small enough to be reused from the heap instead of freshly mapped
+_CENSUS_BLOCK = 4096
+
+
+def _torsion_count(moduli, q: int) -> int:
+    """Number of element tuples x of Z_m1 x ... x Z_mr with q x = 0,
+    checked one element at a time over blocks of consecutive indices
+    (`zero[i][v]`: whether q v = 0 in Z_mi)."""
+    n = math.prod(moduli)
+    zero = [np.arange(m) * q % m == 0 for m in moduli]
+    count = 0
+    for lo in range(0, n, _CENSUS_BLOCK):
+        coords = np.unravel_index(np.arange(lo, min(n, lo + _CENSUS_BLOCK)),
+                                  moduli)
+        killed = np.ones(coords[0].shape, dtype=bool)
+        for x, z in zip(coords, zero):
+            killed &= z[x]
+        count += int(killed.sum())
+    return count
 
 
 def counting_vs_snf(trials: int = 200, seed=None,
@@ -236,13 +270,13 @@ def counting_vs_snf(trials: int = 200, seed=None,
     unimodularly scrambled relation matrix.  Both must return the
     partition that built the group.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     failures = []
     for t in range(trials):
-        p = int(rng.choice(primes))
-        r = int(rng.integers(1, 4))
+        p = rng.choice(primes)
+        r = rng.randint(1, 3)
         while True:
-            lam = sorted((int(rng.integers(1, 4)) for _ in range(r)),
+            lam = sorted((rng.randint(1, 3) for _ in range(r)),
                          reverse=True)
             if p**sum(lam) <= 200_000:
                 break
@@ -250,13 +284,10 @@ def counting_vs_snf(trials: int = 200, seed=None,
         moduli = tuple(p**e for e in lam)
 
         n = math.prod(moduli)
-        elems = np.indices(moduli).reshape(r, n).T.astype(np.int64)
         counts = [1]
         k = 1
         while True:
-            counts.append(int(
-                ((elems * p**k) % np.array(moduli) == 0)
-                .all(axis=1).sum()))
+            counts.append(_torsion_count(moduli, p**k))
             if counts[-1] == n:
                 counts.append(n)
                 break

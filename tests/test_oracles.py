@@ -2,12 +2,17 @@
 so they get their own unit coverage before anything downstream leans
 on them."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from p5tensor.abelian import EvenOrderUnsupported, canon, tensor_ab
 from p5tensor.oracles import (
     QuadraticModel,
+    _random_points,
+    _torsion_count,
     bilinear_tensor_oracle,
     counting_vs_snf,
     gamma_relation_check,
@@ -80,3 +85,21 @@ def test_counting_vs_snf_clean_and_reproducible():
     assert rep1.checked == 120
     assert rep1.failures == rep2.failures
     assert rep1.checked == rep2.checked
+
+
+@pytest.mark.parametrize("moduli, p", [((9,), 3), ((27, 9, 3), 3),
+                                       ((125, 25), 5), ((49, 49, 7), 7)])
+def test_torsion_count_matches_a_loop_over_the_elements(moduli, p):
+    # (49, 49, 7) has 16807 elements: four full blocks and a partial one
+    for k in range(1, 4):
+        q = p**k
+        expected = sum(all(q * x % m == 0 for x, m in zip(xs, moduli))
+                       for xs in itertools.product(*map(range, moduli)))
+        assert _torsion_count(moduli, q) == expected
+
+
+def test_random_points_cover_each_modulus():
+    pts = _random_points(random.Random(5), (7, 49), 20_000)
+    assert pts.shape == (20_000, 2)
+    for col, m in enumerate((7, 49)):
+        assert sorted(set(pts[:, col].tolist())) == list(range(m))
