@@ -23,9 +23,7 @@ from .pcgroup import (
     ConsistencyReport,
     InconsistentPresentation,
     NotAbelian,
-    NotNormal,
     PcPresentation,
-    Quotient,
     Subgroup,
     abelian_invariants_of,
     center,
@@ -33,7 +31,6 @@ from .pcgroup import (
     conjugate,
     consistency_check,
     derived_subgroup,
-    enumerate_elements,
     exponent,
     generator,
     inverse,
@@ -44,7 +41,6 @@ from .pcgroup import (
     normalize,
     order_of,
     power,
-    quotient,
     subgroup_closure,
 )
 from .families import (

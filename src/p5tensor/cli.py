@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 
 from . import families, invariants, oracles
 from .abelian import format_type
-from .pcgroup import (GroupTooLarge, InconsistentPresentation,
-                      consistency_check, enumerate_elements)
+from .pcgroup import InconsistentPresentation, generator, subgroup_closure
 
 DEFAULT_SEED = 1105
 
@@ -194,13 +194,14 @@ def cmd_group(args, out):
               else "(free of relations: elementary abelian)", file=out)
         return 0
     if args.show == "elements":
-        report = consistency_check(P)
-        elements = enumerate_elements(P)
-        n = len(elements)
-        print(f"consistency: {'ok' if report.ok else 'FAILED'}", file=out)
+        # the closure refuses an inconsistent presentation
+        n = subgroup_closure([generator(i) for i in range(1, 6)], P).order
+        print("consistency: ok", file=out)
         print(f"order: {n} = {p}^5" if n == p ** 5 else f"order: {n}",
               file=out)
-        sample = sorted(elements)[:8]
+        # every exponent vector is a normal form, so these are the least
+        sample = list(itertools.islice(
+            itertools.product(range(p), repeat=5), 8))
         for el in sample:
             word = " ".join(f"g{i + 1}^{e}" if e > 1 else f"g{i + 1}"
                             for i, e in enumerate(el) if e) or "1"
@@ -208,7 +209,7 @@ def cmd_group(args, out):
         remaining = n - len(sample)
         if remaining > 0:
             print(f"  ... {remaining} more", file=out)
-        return 0 if report.ok and n == p ** 5 else 1
+        return 0 if n == p ** 5 else 1
 
     rec = invariants.compute_record(spec, p, params)
     invariants.validate(rec)
@@ -331,7 +332,7 @@ def main(argv=None):
         if getattr(args, "seed", None) is None and args.command == "verify":
             args.seed = _env_seed()
         return args.func(args, out)
-    except (families.BadParam, GroupTooLarge) as exc:
+    except families.BadParam as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InconsistentPresentation as exc:

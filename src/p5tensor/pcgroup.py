@@ -31,21 +31,19 @@ linear map to F_p^5.  The type of an abelian subgroup is the Smith
 normal form of its relative power relations.
 
 The element operations (`multiply`, `inverse`, `conjugate`,
-`commutator`, `power`, `order_of`) and `quotient` run on a second,
-independent route: PcGroup tables, numpy arrays over the p^5 element
-indices built by a different recursion (peeling the highest generator
-letter and composing previously built tables), filled in peel order
-one level (letter, exponent) at a time.  A group whose p^5 elements
-exceed the table limit (p > 13) is refused there with GroupTooLarge
-before anything of that size is allocated.  `quotient` builds G/N from
-coset representatives, and its type comes from an order census: the
-p-th power of every element, formed at once by a vectorised product on
-index arrays, is iterated to count the elements of order dividing p,
-p^2, ...  No invariant uses it; it stays public as the independent
-route to G^ab that the tests hold against the abelian calculus.  Tests
-compare the collector with the tables on every element, and the pc
-sequences with the table route's subgroups, so a bug in either route
-is caught by the other.
+`commutator`, `power`, `order_of`) run on one PcGroup table, R[j][x] =
+x g_j, a numpy array per generator over the p^5 element indices built by
+a different recursion (peeling the highest generator letter and
+composing previously built tables), filled in peel order one level
+(letter, exponent) at a time.  Products apply R once per exponent;
+inverses and commutators solve u x = w on R one exponent at a time, as
+the collector does.  A group whose p^5 elements exceed the table limit
+(p > 13) is refused there with GroupTooLarge before anything of that
+size is allocated.  Quotients, order censuses and the enumeration of
+all p^5 normal forms are test oracles built on the same R; the tests
+compare the collector with R on every element, and the pc sequences
+with the table route's subgroups, so a bug in either route is caught by
+the other.
 
 Because collection is total, the closure of the generators always
 produces exactly p^5 normal forms; detecting a *bad* presentation is
@@ -61,8 +59,7 @@ import collections
 
 import numpy as np
 
-from .abelian import (AbelianType, p_type_from_factors, snf,
-                      type_from_order_census)
+from .abelian import AbelianType, p_type_from_factors, snf
 
 Element = tuple  # 5 exponents, each in [0, p)
 
@@ -91,12 +88,8 @@ class InconsistentPresentation(Exception):
     """The presentation fails a consistency triple (no group of order p^5)."""
 
 
-class NotNormal(Exception):
-    """Quotient requested by a subgroup that conjugation does not preserve."""
-
-
 class NotAbelian(Exception):
-    """An order census was requested for a non-commuting element set."""
+    """Abelian invariants were requested for a non-commuting element set."""
 
 
 def _is_prime(n: int) -> bool:
@@ -324,37 +317,6 @@ def normalize(word, P: PcPresentation) -> Element:
     out = [0, 0, 0, 0, 0]
     _collect_into(out, list(reversed(letters)), P)
     return tuple(out)
-
-
-def _rmul1(P: PcPresentation, e: Element, j: int) -> Element:
-    out = list(e)
-    _collect_into(out, [j], P)
-    return tuple(out)
-
-
-def enumerate_elements(P: PcPresentation) -> frozenset:
-    """Closure of the generators under right multiplication (collector route).
-
-    Returns all p^5 normal forms; anything else raises
-    InconsistentPresentation.  Groups above the table limit raise
-    GroupTooLarge.
-    """
-    _refuse_large(P.prime)
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        fresh = []
-        for e in frontier:
-            for j in (1, 2, 3, 4, 5):
-                y = _rmul1(P, e, j)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    if len(seen) != P.prime**5:
-        raise InconsistentPresentation(
-            f"closure reached {len(seen)} elements, expected {P.prime**5}")
-    return frozenset(seen)
 
 
 class ConsistencyReport:
@@ -626,77 +588,17 @@ class Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# table-backed group machinery
-
-class Quotient:
-    """G/N as canonical coset representatives with induced multiplication."""
-
-    __slots__ = ("_g", "rep", "reps", "gen_reps")
-
-    def __init__(self, g: "PcGroup", rep: np.ndarray):
-        self._g = g
-        self.rep = rep
-        self.reps = np.flatnonzero(rep == np.arange(rep.size))
-        self.gen_reps = [int(rep[g.strides[i]]) for i in range(5)]
-
-    @property
-    def order(self) -> int:
-        return int(self.reps.size)
-
-    def mult(self, a: int, b: int) -> int:
-        return int(self.rep[self._g.mult_idx(a, b)])
-
-    def abelian_invariants(self) -> AbelianType:
-        _require_commuting(self.mult, [r for r in self.gen_reps if r])
-        reps = self.reps
-        return _census_type(reps, self.rep[self._g.pth(reps)], self._g.p)
-
-    def __repr__(self):
-        return f"Quotient(order={self.order})"
-
-
-def _require_commuting(mult, gens) -> None:
-    """Raise NotAbelian unless the generators commute pairwise under
-    `mult`; a closed set they generate is then abelian."""
-    for a, x in enumerate(gens):
-        for y in gens[a + 1:]:
-            if mult(x, y) != mult(y, x):
-                raise NotAbelian(f"generators {x} and {y} do not commute")
-
-
-def _census_type(handles: np.ndarray, powers: np.ndarray, p: int) \
-        -> AbelianType:
-    """Isomorphism type of an abelian group by order counting.
-
-    `handles` is the sorted index array of its elements (the identity 0
-    first) and `powers[i]` the handle of handles[i]^p.  Iterating that
-    map counts the elements of order dividing p, p^2, ...
-    """
-    f1 = np.searchsorted(handles, powers)
-    counts = [1]
-    cur = f1
-    total = int(handles.size)
-    for _ in range(7):
-        counts.append(int(np.count_nonzero(cur == 0)))
-        if counts[-1] == total:
-            counts.append(total)
-            break
-        cur = f1[cur]
-    return type_from_order_census(counts, p)
-
+# the right multiplication table (element operations)
 
 class PcGroup:
-    """Multiplication tables for the element operations and quotients of
-    one presentation.
+    """The right multiplication table of one presentation, for the
+    element operations.
 
     Construction refuses a group whose p^5 elements exceed the table
     limit, then runs the consistency triples and refuses a bad
-    presentation; the tables below would silently build nonsense
-    otherwise.  Every table is one numpy int64 array per generator over
-    the element indices: R[j][x] = x g_j, and lazily L[i][x] = g_i x,
-    its inverse permutation x -> g_i^-1 x, the inverse table and
-    conj[i][x] = g_i^-1 x g_i.  R, L and the inverse are filled in peel
-    order by `_peel`.
+    presentation; the table would silently build nonsense otherwise.
+    R[j][x] = x g_j is one numpy int64 array per generator over the
+    element indices, filled in peel order by `_peel`.
     """
 
     def __init__(self, P: PcPresentation):
@@ -710,9 +612,6 @@ class PcGroup:
         self.R = [None] * 6
         for j in range(5, 0, -1):
             self.R[j] = self._build_r(j)
-        self._left = None
-        self._inv = None
-        self._conj = None
 
     # -- table construction ------------------------------------------------
 
@@ -754,39 +653,6 @@ class PcGroup:
 
         return self._peel(tab, step, above=j)
 
-    @property
-    def left(self):
-        """(L, Linv): L[i][x] = g_i x, and Linv[i][x] = g_i^-1 x, its
-        inverse permutation; g_i (y g_k) = (g_i y) g_k."""
-        if self._left is None:
-            R, n = self.R, self.n
-            L, Linv = [None] * 6, [None] * 6
-            for i in range(1, 6):
-                tab = np.empty(n, dtype=np.int64)
-                tab[0] = self.strides[i - 1]
-                L[i] = self._peel(tab, lambda k, v: R[k][v])
-                Linv[i] = np.empty(n, dtype=np.int64)
-                Linv[i][L[i]] = np.arange(n)
-            self._left = (L, Linv)
-        return self._left
-
-    @property
-    def inv(self) -> np.ndarray:
-        """x^-1; (y g_k)^-1 = g_k^-1 y^-1."""
-        if self._inv is None:
-            Linv = self.left[1]
-            tab = np.zeros(self.n, dtype=np.int64)
-            self._inv = self._peel(tab, lambda k, v: Linv[k][v])
-        return self._inv
-
-    @property
-    def conj(self):
-        """conj[i][x] = g_i^-1 x g_i."""
-        if self._conj is None:
-            Linv = self.left[1]
-            self._conj = [None] + [self.R[i][Linv[i]] for i in range(1, 6)]
-        return self._conj
-
     # -- element plumbing ----------------------------------------------------
 
     def idx_of(self, e) -> int:
@@ -803,11 +669,8 @@ class PcGroup:
         p = self.p
         for tab, s in zip(self.R[1:], self.strides):
             for _ in range(b // s % p):
-                a = tab[a]
-        return int(a)
-
-    def inv_idx(self, a: int) -> int:
-        return int(self.inv[a])
+                a = tab.item(a)
+        return a
 
     def pow_idx(self, a: int, m: int) -> int:
         m %= self.n  # element orders divide p^5
@@ -820,63 +683,17 @@ class PcGroup:
             m >>= 1
         return acc
 
-    def comm_idx(self, a: int, b: int) -> int:
-        ab = self.mult_idx(a, b)
-        ba = self.mult_idx(b, a)
-        return self.mult_idx(self.inv_idx(ba), ab)
-
-    def _perm_of(self, gidx: int) -> np.ndarray:
-        """Right multiplication by a fixed element, as a full permutation."""
-        p = self.p
-        perm = np.arange(self.n, dtype=np.int64)
+    def solve_idx(self, u: int, w: int) -> int:
+        """The x with u x = w, one exponent at a time, as in `_solve`:
+        once u agrees with w below g_k, the k-th exponent of x is their
+        difference at g_k, which `w // s - u // s` reads modulo p."""
+        p, x = self.p, 0
         for tab, s in zip(self.R[1:], self.strides):
-            for _ in range(gidx // s % p):
-                perm = tab[perm]
-        return perm
-
-    def mult_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a[i] b[i] for index arrays: R[m] is applied to a[i] as often
-        as b[i]'s m-th exponent."""
-        p = self.p
-        for tab, s in zip(self.R[1:], self.strides):
-            digit = b // s % p
-            for d in range(1, p):
-                sel = digit >= d
-                if not sel.any():
-                    break
-                a = np.where(sel, tab[a], a)
-        return a
-
-    def pth(self, x: np.ndarray) -> np.ndarray:
-        """x[i]^p for an index array, by square-and-multiply."""
-        acc, base, m = None, x, self.p
-        while True:
-            if m & 1:
-                acc = base if acc is None else self.mult_arrays(acc, base)
-            m >>= 1
-            if not m:
-                return acc
-            base = self.mult_arrays(base, base)
-
-    def coset_reps(self, sub_gen_idxs) -> np.ndarray:
-        """rep[x] = least element of the coset x*<gens> (gens normal or not,
-        the propagation only relies on orbit partitioning).
-
-        Each pass lowers every label to the least label one generator step
-        away, then jumps each label to its own label; the labels stay
-        inside the orbit and stop changing once each orbit carries its
-        least element.
-        """
-        perms = [self._perm_of(int(g)) for g in sub_gen_idxs if int(g) != 0]
-        rep = np.arange(self.n, dtype=np.int64)
-        while True:
-            new = rep
-            for perm in perms:
-                new = np.minimum(new, new[perm])
-            new = new[new]
-            if np.array_equal(new, rep):
-                return rep
-            rep = new
+            e = (w // s - u // s) % p
+            x += e * s
+            for _ in range(e):
+                u = tab.item(u)
+        return x
 
 
 _GROUP_CACHE: "collections.OrderedDict[PcPresentation, PcGroup]" = \
@@ -906,7 +723,7 @@ def multiply(a: Element, b: Element, P: PcPresentation) -> Element:
 
 def inverse(a: Element, P: PcPresentation) -> Element:
     g = _group(P)
-    return g.exps_of(g.inv_idx(g.idx_of(a)))
+    return g.exps_of(g.solve_idx(g.idx_of(a), 0))
 
 
 def conjugate(a: Element, b: Element, P: PcPresentation) -> Element:
@@ -914,13 +731,14 @@ def conjugate(a: Element, b: Element, P: PcPresentation) -> Element:
     g = _group(P)
     ai = g.idx_of(a)
     return g.exps_of(g.mult_idx(g.mult_idx(ai, g.idx_of(b)),
-                                g.inv_idx(ai)))
+                                g.solve_idx(ai, 0)))
 
 
 def commutator(a: Element, b: Element, P: PcPresentation) -> Element:
-    """[a, b] = a^-1 b^-1 a b."""
+    """[a, b] = a^-1 b^-1 a b, solved from (b a) [a, b] = a b."""
     g = _group(P)
-    return g.exps_of(g.comm_idx(g.idx_of(a), g.idx_of(b)))
+    ai, bi = g.idx_of(a), g.idx_of(b)
+    return g.exps_of(g.solve_idx(g.mult_idx(bi, ai), g.mult_idx(ai, bi)))
 
 
 def power(a: Element, n: int, P: PcPresentation) -> Element:
@@ -1000,17 +818,13 @@ def exponent(P: PcPresentation) -> int:
     return best
 
 
-def quotient(P: PcPresentation, N: Subgroup) -> Quotient:
-    g = _group(P)
-    nidxs = [g.idx_of(s) for s in N.generators]
-    for i in range(1, 6):
-        for h in nidxs:
-            img = g.exps_of(g.conj[i][h])
-            if img not in N:
-                raise NotNormal(
-                    f"conjugation by g{i} maps the subgroup outside itself "
-                    f"(element {img})")
-    return Quotient(g, g.coset_reps(nidxs or [0]))
+def _require_commuting(mult, gens) -> None:
+    """Raise NotAbelian unless the generators commute pairwise under
+    `mult`; a closed set they generate is then abelian."""
+    for a, x in enumerate(gens):
+        for y in gens[a + 1:]:
+            if mult(x, y) != mult(y, x):
+                raise NotAbelian(f"generators {x} and {y} do not commute")
 
 
 def abelian_invariants_of(elements, P: PcPresentation) -> AbelianType:

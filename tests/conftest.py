@@ -1,7 +1,8 @@
 import pytest
 
 from p5tensor import compute_record, validate
-from p5tensor.pcgroup import PcGroup, _rmul1
+
+from tables import TableGroup, _rmul1
 
 
 def pytest_addoption(parser):
@@ -53,7 +54,7 @@ def collector_mismatches():
     """
 
     def first(P):
-        g = PcGroup(P)
+        g = TableGroup(P)
         digs = [g.exps_of(idx) for idx in range(g.n)]
         R = [None] + [g.R[j].tolist() for j in range(1, 6)]
         for idx, e in enumerate(digs):

@@ -182,15 +182,23 @@ def test_verify_at_more_primes(capsys, p):
 
 
 def test_groups_above_the_table_limit_are_refused(capsys):
-    # p^5 = 1419857 elements at p = 17 exceed the table limit; verify
-    # needs no tables
+    # p^5 = 1419857 elements at p = 17 exceed the table limit; verify and
+    # the element listing need no tables, the element operations do
     rc, out, err = run(capsys, "verify", "--prime", "17", "--family", "1")
     assert rc == 0
     assert out.splitlines()[-1] == "PASS"
     rc, out, err = run(capsys, "group", "--family", "1", "--prime", "17",
                        "--show", "elements")
-    assert rc == 2
-    assert err.startswith("error: p = 17") and "table limit" in err
+    assert rc == 0
+    assert out.splitlines() == [
+        "family 1 at p = 17",
+        "consistency: ok",
+        "order: 1419857 = 17^5",
+        "  (0, 0, 0, 0, 0) = 1",
+        "  (0, 0, 0, 0, 1) = g5",
+    ] + [f"  (0, 0, 0, 0, {e}) = g5^{e}" for e in range(2, 8)] + [
+        "  ... 1419849 more",
+    ]
     with pytest.raises(GroupTooLarge):
         multiply(generator(1), generator(2), families.build("1", 17))
 
