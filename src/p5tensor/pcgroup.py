@@ -13,9 +13,22 @@ for j > i, and every element has a unique normal form
     g1^e1 g2^e2 g3^e3 g4^e4 g5^e5,   0 <= e_i < p,
 
 reached by collection from the left.  Elements are plain 5-tuples of
-exponents; the identity is (0,0,0,0,0).  Inside a PcGroup an element is
-only its integer index sum e_i p^(5-i); its exponents are read back by
-arithmetic, idx // p^(5-i) % p.
+exponents; the identity is (0,0,0,0,0).
+
+The collector works on syllables g_j^e, 1 <= e < p.  A syllable that
+meets a part w of the normal form it does not commute with lifts w off
+and pushes the conjugate w^(g_j^e) back as syllables, read from a memo
+that each presentation fills on demand: conj[j][m][e][c] holds
+g_j^-e g_m^c g_j^e in normal form.  An entry is collected inside
+<g_(j+1), ...>, which reads only conjugates by higher generators, so
+the memo fills itself without a cycle, and the work per syllable does
+not grow with p.
+
+The element operations (`multiply`, `inverse`, `conjugate`,
+`commutator`, `power`, `order_of`) run on the collector: a product
+collects the syllables of its right factor, inverses and commutators
+solve u x = w one exponent at a time, and powers square and multiply.
+Nothing of size p^5 is built, so no prime is too large.
 
 A subgroup is an induced pc sequence: at most five normal forms of
 distinct depths (the position of the first nonzero exponent), each with
@@ -30,34 +43,19 @@ g1..g5, and the center is cut out layer by layer as the kernel of a
 linear map to F_p^5.  The type of an abelian subgroup is the Smith
 normal form of its relative power relations.
 
-The element operations (`multiply`, `inverse`, `conjugate`,
-`commutator`, `power`, `order_of`) run on one PcGroup table, R[j][x] =
-x g_j, a numpy array per generator over the p^5 element indices built by
-a different recursion (peeling the highest generator letter and
-composing previously built tables), filled in peel order one level
-(letter, exponent) at a time.  Products apply R once per exponent;
-inverses and commutators solve u x = w on R one exponent at a time, as
-the collector does.  A group whose p^5 elements exceed the table limit
-(p > 13) is refused there with GroupTooLarge before anything of that
-size is allocated.  Quotients, order censuses and the enumeration of
-all p^5 normal forms are test oracles built on the same R; the tests
-compare the collector with R on every element, and the pc sequences
-with the table route's subgroups, so a bug in either route is caught by
-the other.
+The tests hold all of this against an independent p^5 multiplication
+table, built by a different recursion: the collector against the table
+on every element, and the pc sequences against the table's subgroups.
 
 Because collection is total, the closure of the generators always
 produces exactly p^5 normal forms; detecting a *bad* presentation is
 therefore the job of the consistency triples (the classical
 well-definedness conditions), not of element counting.  Every subgroup
-routine and PcGroup run them first (the report is memoised), so a bad
-presentation raises InconsistentPresentation.
+routine and element operation runs them first (the report is
+memoised), so a bad presentation raises InconsistentPresentation.
 """
 
 from __future__ import annotations
-
-import collections
-
-import numpy as np
 
 from .abelian import AbelianType, p_type_from_factors, snf
 
@@ -67,21 +65,6 @@ IDENTITY: Element = (0, 0, 0, 0, 0)
 
 _PAIRS = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
           (5, 1), (5, 2), (5, 3), (5, 4))
-
-
-# element slots of the group cache; also the largest group with tables
-_CACHE_SLOTS = 400_000
-
-
-class GroupTooLarge(ValueError):
-    """p^5 exceeds the element slots that the tables may hold."""
-
-
-def _refuse_large(p: int) -> None:
-    if p**5 > _CACHE_SLOTS:
-        raise GroupTooLarge(
-            f"p = {p}: the {p**5} elements of a group of order p^5 exceed "
-            f"the table limit of {_CACHE_SLOTS}")
 
 
 class InconsistentPresentation(Exception):
@@ -105,22 +88,21 @@ def _is_prime(n: int) -> bool:
 
 def _as_vec(value, prime: int) -> tuple:
     if value is None:
-        return (0, 0, 0, 0, 0)
-    vec = tuple(int(x) for x in value)
+        return IDENTITY
+    vec = tuple(map(int, value))
     if len(vec) != 5:
-        raise ValueError(f"tail vector must have length 5, got {value!r}")
-    for x in vec:
-        if not 0 <= x < prime:
-            raise ValueError(f"tail exponent {x} outside [0, {prime})")
+        raise ValueError(
+            f"exponent vector must have length 5, got {value!r}")
+    if min(vec) < 0 or max(vec) >= prime:
+        x = next(x for x in vec if not 0 <= x < prime)
+        raise ValueError(f"exponent {x} outside [0, {prime})")
     return vec
 
 
-def _letters(vec: tuple) -> list:
-    """Expand an exponent vector into generator letters, low index first."""
-    out = []
-    for i in range(5):
-        out.extend([i + 1] * vec[i])
-    return out
+def _stack(vec) -> list:
+    """The syllables (generator, exponent) of a normal form, in stack
+    order: the lowest generator last, so that it is popped first."""
+    return [(m, vec[m - 1]) for m in range(5, 0, -1) if vec[m - 1]]
 
 
 class PcPresentation:
@@ -132,7 +114,7 @@ class PcPresentation:
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key",
-                 "_inv_letters", "_cctx", "_report")
+                 "_inv_powers", "_cctx", "_report")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = int(prime)
@@ -176,7 +158,7 @@ class PcPresentation:
         self.comm_tails = full
         self._key = (prime, self.power_tails,
                      tuple(full[pair] for pair in _PAIRS))
-        self._inv_letters = None
+        self._inv_powers = None
         self._cctx = None
         self._report = None
 
@@ -220,102 +202,175 @@ class PcPresentation:
 
 
 # ---------------------------------------------------------------------------
-# collection (the presentation-level route)
+# collection
 
 def _collect_ctx(P: PcPresentation):
-    """Precompiled conjugates, blockers and power-tail suffixes for the
-    collector."""
+    """The conjugate memo, blockers and power-tail suffixes of the
+    collector.
+
+    conj[j][m][e][c], m > j, holds the syllables of g_j^-e g_m^c g_j^e in
+    stack order, or None until `_conjugate` fills it; every row starts as
+    one shared tuple of Nones.  blockers[j]: the k > j with
+    [g_k, g_j] != 1, ascending; suffix[j]: the exponents of g_j^p above
+    g_j, or [] when g_j^p = 1.
+    """
     ctx = P._cctx
     if ctx is None:
-        # lift[j][k]: letters of g_j^-1 g_k g_j = g_k [g_k, g_j], already
-        # reversed for stack.extend; blockers[j]: the k > j with
-        # [g_k, g_j] != 1, ascending
-        lift = [[None] * 6 for _ in range(6)]
+        p = P.prime
+        unfilled = (None,) * p
+        conj = [None] * 6
         blockers = [()] * 6
-        suffix = [None] * 6
+        suffix = [[]] * 6
         for j in range(1, 6):
-            for k in range(j + 1, 6):
-                tail = P.comm_tails[(k, j)]
-                lift[j][k] = tuple(reversed([k] + _letters(tail)))
-                if any(tail):
-                    blockers[j] += (k,)
-            suffix[j] = list(P.power_tails[j - 1][j:])
-        ctx = (P.prime - 1, lift, blockers, suffix)
+            conj[j] = [None] * (j + 1) + [[unfilled] * p
+                                          for _ in range(j + 1, 6)]
+            blockers[j] = tuple(k for k in range(j + 1, 6)
+                                if any(P.comm_tails[(k, j)]))
+            if any(P.power_tails[j - 1]):
+                suffix[j] = list(P.power_tails[j - 1][j:])
+        ctx = (p, conj, blockers, suffix)
         P._cctx = ctx
     return ctx
 
 
-def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
-    """Absorb the letters on `stack` (top = next) into normal form `out`.
+def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
+    """conj[j][m][e][c]: the syllables of g_j^-e g_m^c g_j^e, filled with
+    the entries that it rests on.
 
-    Collection from the left: a letter g_j lands in place once every
-    generator above it in `out` commutes with it (and, when g_j^p
-    wraps to its tail, once nothing is above it).  Otherwise the part w
-    of `out` from the lowest such generator up is lifted off, and
-    out * g_j = (out / w) * g_j * w^(g_j) goes back on the stack, with
-    w^(g_j) the product of the conjugates g_k [g_k, g_j].
+    g_j^-1 g_m g_j = g_m [g_m, g_j] is a normal form, since the tail
+    lies above g_m.  The entry for (1, c) is the one for (1, c - 1) times
+    that one.  One more conjugation by g_j maps each syllable g_l^v of
+    the entry for (e - 1, 1) to conj[j][l][1][v], and the entry for
+    (e, c) is the c-th power of the one for (e, 1).  The two chains
+    start from the nearest entry already there; all these products lie
+    in <g_(j+1), ...> and are collected there.
     """
-    pm1, lift, blockers, suffix = _collect_ctx(P)
+    p, conj, _, _ = _collect_ctx(P)
+    rows = conj[j][m]
+
+    def put(e, c, x):
+        if type(rows[e]) is tuple:
+            rows[e] = [None] * p
+        rows[e][c] = _stack(x)
+        return rows[e][c]
+
+    def vec(syllables):
+        x = [0, 0, 0, 0, 0]
+        for l, v in syllables:
+            x[l - 1] = v
+        return x
+
+    if c > 1 and e > 1:
+        x = vec(rows[e][1] or _conjugate(P, j, m, e, 1))
+        return put(e, c, _pow(tuple(x), c, P))
+    if c > 1:
+        one = rows[1][1] or _conjugate(P, j, m, 1, 1)
+        d = c - 1
+        while d > 1 and rows[1][d] is None:
+            d -= 1
+        x = vec(rows[1][d])
+        for d in range(d + 1, c + 1):
+            _collect_into(x, list(one), P)
+            put(1, d, x)
+        return rows[1][c]
+    f = e
+    while f > 1 and rows[f - 1][1] is None:
+        f -= 1
+    for f in range(f, e + 1):
+        if f == 1:
+            x = list(P.comm_tails[(m, j)])
+            x[m - 1] = 1
+        else:
+            stack = []
+            for l, v in rows[f - 1][1]:
+                stack += conj[j][l][1][v] or _conjugate(P, j, l, 1, v)
+            x = [0, 0, 0, 0, 0]
+            _collect_into(x, stack, P)
+        put(f, 1, x)
+    return rows[e][1]
+
+
+def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
+    """Absorb the syllables on `stack` (top = next) into normal form `out`.
+
+    Collection from the left.  A syllable g_j^e first lifts off the part
+    w of `out` from the lowest generator above g_j that it does not
+    commute with, and pushes w^(g_j^e), the product of the memoised
+    conjugates of w's syllables, back on the stack:
+    out * g_j^e = (out / w) * g_j^e * w^(g_j^e).  Everything left above
+    g_j then commutes with it, so g_j^e lands in place.  When the
+    exponent s = out[j] + e reaches p, g_j^p wraps to its tail, which
+    goes right above g_j; the part above g_j is lifted off again and
+    collected after it.
+    """
+    p, conj, blockers, suffix = _collect_ctx(P)
     pop = stack.pop
+    push = stack.append
     extend = stack.extend
     while stack:
-        j = pop()
+        j, e = pop()
         for k in blockers[j]:
             if out[k - 1]:
+                cj = conj[j]
+                for m in range(5, k - 1, -1):
+                    c = out[m - 1]
+                    if c:
+                        extend(cj[m][e][c] or _conjugate(P, j, m, e, c))
+                        out[m - 1] = 0
                 break
-        else:
-            if out[j - 1] != pm1:
-                out[j - 1] += 1
-                continue
-            if not any(out[j:]):
-                out[j - 1] = 0
-                out[j:] = suffix[j]  # g_j^p = tail
-                continue
-            # the power tail must land below the part above g_j: lift it
-            k = j + 1
-        for m in range(5, k - 1, -1):
-            e = out[m - 1]
-            if e:
-                extend(lift[j][m] * e)
-                out[m - 1] = 0
-        stack.append(j)
+        s = out[j - 1] + e
+        if s < p:
+            out[j - 1] = s
+            continue
+        out[j - 1] = s - p
+        tail = suffix[j]
+        if tail:  # g_j^p = tail
+            for m in range(5, j, -1):
+                c = out[m - 1]
+                if c:
+                    push((m, c))
+            out[j:] = tail
 
 
-def _gen_inverse_letters(P: PcPresentation, i: int) -> list:
-    """Letters of g_i^-1, namely g_i^(p-1) followed by the tail inverse."""
-    if P._inv_letters is None:
-        P._inv_letters = {}
-    memo = P._inv_letters
-    if i not in memo:
-        letters = [i] * (P.prime - 1)
-        tail = P.power_tails[i - 1]
-        for m in range(5, i, -1):
-            if tail[m - 1]:
-                letters = letters + _gen_inverse_letters(P, m) * tail[m - 1]
-        memo[i] = letters
-    return memo[i]
+def _gen_power(P: PcPresentation, i: int, n: int) -> list:
+    """The syllables of g_i^n.  The inverse powers g_i^-e, 0 < e < p, are
+    solved once from g_i^e x = 1 and memoised; other exponents square
+    and multiply, with n taken modulo p^5."""
+    p = P.prime
+    if 0 < n < p:
+        return [(i, n)]
+    if -p < n < 0:
+        if P._inv_powers is None:
+            P._inv_powers = [None] + [[None] * p for _ in range(5)]
+        memo = P._inv_powers[i]
+        if memo[-n] is None:
+            u = [0, 0, 0, 0, 0]
+            u[i - 1] = -n
+            memo[-n] = _stack(_solve(u, IDENTITY, P))
+        return memo[-n]
+    return _stack(_pow(generator(i), n % p**5, P))
 
 
 def normalize(word, P: PcPresentation) -> Element:
     """Collect a word of (generator index, signed exponent) pairs.
 
-    Negative exponents go through the generator inverses
-    g_i^-1 = g_i^(p-1) (tail of g_i^p)^-1.  The result is the unique
-    normal form; normalizing again is a no-op.
+    The whole word goes on the stack at once, each pair as the syllables
+    of that power of the generator.  The result is the unique normal
+    form; normalizing again is a no-op.
     """
-    n5 = P.prime**5
-    letters: list = []
+    parts = []
     for gen, exp in word:
         gen = int(gen)
         if not 1 <= gen <= 5:
             raise ValueError(f"generator index {gen} outside 1..5")
         exp = int(exp)
-        if exp >= 0:
-            letters.extend([gen] * (exp % n5))
-        else:
-            letters.extend(_gen_inverse_letters(P, gen) * ((-exp) % n5))
+        if exp:
+            parts.append(_gen_power(P, gen, exp))
+    stack = []
+    for part in reversed(parts):
+        stack += part
     out = [0, 0, 0, 0, 0]
-    _collect_into(out, list(reversed(letters)), P)
+    _collect_into(out, stack, P)
     return tuple(out)
 
 
@@ -352,38 +407,41 @@ def consistency_check(P: PcPresentation) -> ConsistencyReport:
         return P._report
     p = P.prime
 
-    def collect(letters):
+    def collect(word):
         out = [0, 0, 0, 0, 0]
-        _collect_into(out, list(reversed(letters)), P)
+        _collect_into(out, word[::-1], P)
         return tuple(out)
+
+    def word(vec):
+        return _stack(vec)[::-1]
 
     failures = []
     for k in range(3, 6):
         for j in range(2, k):
             for i in range(1, j):
-                lhs = collect([k] + _letters(collect([j, i])))
-                rhs = collect(_letters(collect([k, j])) + [i])
+                lhs = collect([(k, 1)] + word(collect([(j, 1), (i, 1)])))
+                rhs = collect(word(collect([(k, 1), (j, 1)])) + [(i, 1)])
                 if lhs != rhs:
                     failures.append(
                         f"overlap g{k}(g{j} g{i}) != (g{k} g{j})g{i}: "
                         f"{lhs} vs {rhs}")
     for j in range(2, 6):
         for i in range(1, j):
-            lhs = collect(_letters(P.power_tails[j - 1]) + [i])
-            rhs = collect([j] * (p - 1) + _letters(collect([j, i])))
+            lhs = collect(word(P.power_tails[j - 1]) + [(i, 1)])
+            rhs = collect([(j, p - 1)] + word(collect([(j, 1), (i, 1)])))
             if lhs != rhs:
                 failures.append(
                     f"overlap g{j}^p g{i} != g{j}^(p-1)(g{j} g{i}): "
                     f"{lhs} vs {rhs}")
-            lhs = collect([j] + _letters(P.power_tails[i - 1]))
-            rhs = collect(_letters(collect([j, i])) + [i] * (p - 1))
+            lhs = collect([(j, 1)] + word(P.power_tails[i - 1]))
+            rhs = collect(word(collect([(j, 1), (i, 1)])) + [(i, p - 1)])
             if lhs != rhs:
                 failures.append(
                     f"overlap g{j} g{i}^p != (g{j} g{i})g{i}^(p-1): "
                     f"{lhs} vs {rhs}")
     for i in range(1, 6):
-        lhs = collect(_letters(P.power_tails[i - 1]) + [i])
-        rhs = collect([i] + _letters(P.power_tails[i - 1]))
+        lhs = collect(word(P.power_tails[i - 1]) + [(i, 1)])
+        rhs = collect([(i, 1)] + word(P.power_tails[i - 1]))
         if lhs != rhs:
             failures.append(
                 f"overlap g{i}^p g{i} != g{i} g{i}^p: {lhs} vs {rhs}")
@@ -405,12 +463,9 @@ _GENS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
 
 
 def _mul(a: Element, b: Element, P: PcPresentation) -> Element:
-    """a b, by collecting the letters of b into a."""
+    """a b, by collecting the syllables of b into a."""
     out = list(a)
-    stack = []
-    for i in range(4, -1, -1):
-        stack += [i + 1] * b[i]
-    _collect_into(out, stack, P)
+    _collect_into(out, _stack(b), P)
     return tuple(out)
 
 
@@ -419,7 +474,7 @@ def _pow(x: Element, m: int, P: PcPresentation) -> Element:
     acc = IDENTITY
     while m:
         if m & 1:
-            acc = _mul(acc, x, P)
+            acc = _mul(acc, x, P) if any(acc) else x
         m >>= 1
         if m:
             x = _mul(x, x, P)
@@ -440,7 +495,7 @@ def _solve(u: Element, w: Element, P: PcPresentation) -> Element:
         e = (w[k] - u[k]) % p
         if e:
             x[k] = e
-            _collect_into(u, [k + 1] * e, P)
+            _collect_into(u, [(k + 1, e)], P)
     return tuple(x)
 
 
@@ -588,171 +643,48 @@ class Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# the right multiplication table (element operations)
-
-class PcGroup:
-    """The right multiplication table of one presentation, for the
-    element operations.
-
-    Construction refuses a group whose p^5 elements exceed the table
-    limit, then runs the consistency triples and refuses a bad
-    presentation; the table would silently build nonsense otherwise.
-    R[j][x] = x g_j is one numpy int64 array per generator over the
-    element indices, filled in peel order by `_peel`.
-    """
-
-    def __init__(self, P: PcPresentation):
-        _refuse_large(P.prime)
-        _require_consistent(P)
-        self.P = P
-        p = self.p = P.prime
-        self.n = p**5
-        self.strides = (p**4, p**3, p**2, p, 1)
-
-        self.R = [None] * 6
-        for j in range(5, 0, -1):
-            self.R[j] = self._build_r(j)
-
-    # -- table construction ------------------------------------------------
-
-    def _peel(self, tab: np.ndarray, step, above: int = 0) -> np.ndarray:
-        """Fill tab[x] = step(k, tab[x / g_k]) for every x whose highest
-        letter g_k lies above g_`above`; `tab` must already hold the rest.
-
-        Level (k, e) holds the x that end in g_k^e.  Their parents x / g_k
-        end in g_k^(e-1), or for e = 1 in a lower letter, so the levels
-        are filled in order (k, e) = (above+1, 1) ... (5, p-1), each by
-        one gather over all its entries.
-        """
-        p = self.p
-        for k in range(above + 1, 6):
-            level = tab.reshape(-1, p, self.strides[k - 1])[:, :, 0]
-            for e in range(1, p):
-                level[:, e] = step(k, level[:, e - 1])
-        return tab
-
-    def _build_r(self, j: int) -> np.ndarray:
-        """x g_j; for x = y g_k with k > j, x g_j = (y g_j) g_k [g_k, g_j]
-        reads tables already built."""
-        p, s = self.p, self.strides[j - 1]
-        tail = sum(t * st for t, st in zip(self.P.power_tails[j - 1],
-                                           self.strides))
-        tab = np.empty(self.n, dtype=np.int64)
-        # no letter above g_j: raise e_j, wrapping g_j^p to its tail
-        x = np.arange(0, self.n, s)
-        tab[::s] = np.where(x // s % p == p - 1, x - (p - 1) * s + tail,
-                            x + s)
-        R = self.R
-        chain = {k: [k] + _letters(self.P.comm_tails[(k, j)])
-                 for k in range(j + 1, 6)}
-
-        def step(k, v):
-            for t in chain[k]:
-                v = R[t][v]
-            return v
-
-        return self._peel(tab, step, above=j)
-
-    # -- element plumbing ----------------------------------------------------
-
-    def idx_of(self, e) -> int:
-        s = self.strides
-        return (e[0] * s[0] + e[1] * s[1] + e[2] * s[2]
-                + e[3] * s[3] + e[4])
-
-    def exps_of(self, idx: int) -> Element:
-        p, x = self.p, int(idx)
-        s1, s2, s3, s4, _ = self.strides
-        return (x // s1, x // s2 % p, x // s3 % p, x // s4 % p, x % p)
-
-    def mult_idx(self, a: int, b: int) -> int:
-        p = self.p
-        for tab, s in zip(self.R[1:], self.strides):
-            for _ in range(b // s % p):
-                a = tab.item(a)
-        return a
-
-    def pow_idx(self, a: int, m: int) -> int:
-        m %= self.n  # element orders divide p^5
-        acc = 0
-        base = a
-        while m:
-            if m & 1:
-                acc = self.mult_idx(acc, base)
-            base = self.mult_idx(base, base)
-            m >>= 1
-        return acc
-
-    def solve_idx(self, u: int, w: int) -> int:
-        """The x with u x = w, one exponent at a time, as in `_solve`:
-        once u agrees with w below g_k, the k-th exponent of x is their
-        difference at g_k, which `w // s - u // s` reads modulo p."""
-        p, x = self.p, 0
-        for tab, s in zip(self.R[1:], self.strides):
-            e = (w // s - u // s) % p
-            x += e * s
-            for _ in range(e):
-                u = tab.item(u)
-        return x
-
-
-_GROUP_CACHE: "collections.OrderedDict[PcPresentation, PcGroup]" = \
-    collections.OrderedDict()
-
-
-def _group(P: PcPresentation) -> PcGroup:
-    g = _GROUP_CACHE.get(P)
-    if g is None:
-        g = PcGroup(P)
-        _GROUP_CACHE[P] = g
-        while sum(x.n for x in _GROUP_CACHE.values()) > _CACHE_SLOTS \
-                and len(_GROUP_CACHE) > 1:
-            _GROUP_CACHE.popitem(last=False)
-    else:
-        _GROUP_CACHE.move_to_end(P)
-    return g
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 def multiply(a: Element, b: Element, P: PcPresentation) -> Element:
-    g = _group(P)
-    return g.exps_of(g.mult_idx(g.idx_of(a), g.idx_of(b)))
+    _require_consistent(P)
+    return _mul(_as_vec(a, P.prime), _as_vec(b, P.prime), P)
 
 
 def inverse(a: Element, P: PcPresentation) -> Element:
-    g = _group(P)
-    return g.exps_of(g.solve_idx(g.idx_of(a), 0))
+    _require_consistent(P)
+    return _solve(_as_vec(a, P.prime), IDENTITY, P)
 
 
 def conjugate(a: Element, b: Element, P: PcPresentation) -> Element:
     """Left conjugation a b a^-1."""
-    g = _group(P)
-    ai = g.idx_of(a)
-    return g.exps_of(g.mult_idx(g.mult_idx(ai, g.idx_of(b)),
-                                g.solve_idx(ai, 0)))
+    _require_consistent(P)
+    a, b = _as_vec(a, P.prime), _as_vec(b, P.prime)
+    return _mul(_mul(a, b, P), _solve(a, IDENTITY, P), P)
 
 
 def commutator(a: Element, b: Element, P: PcPresentation) -> Element:
     """[a, b] = a^-1 b^-1 a b, solved from (b a) [a, b] = a b."""
-    g = _group(P)
-    ai, bi = g.idx_of(a), g.idx_of(b)
-    return g.exps_of(g.solve_idx(g.mult_idx(bi, ai), g.mult_idx(ai, bi)))
+    _require_consistent(P)
+    return _comm(_as_vec(a, P.prime), _as_vec(b, P.prime), P)
 
 
 def power(a: Element, n: int, P: PcPresentation) -> Element:
-    g = _group(P)
-    return g.exps_of(g.pow_idx(g.idx_of(a), int(n)))
+    """a^n; element orders divide p^5, so n counts modulo p^5, and past
+    half of that a^n is the (p^5 - n)-th power of a^-1."""
+    _require_consistent(P)
+    a, top = _as_vec(a, P.prime), P.prime**5
+    n = int(n) % top
+    if 2 * n > top:
+        a, n = _solve(a, IDENTITY, P), top - n
+    return _pow(a, n, P)
 
 
 def order_of(a: Element, P: PcPresentation) -> int:
-    g = _group(P)
-    x = g.idx_of(a)
-    order = 1
-    while x != 0:
-        x = g.pow_idx(x, g.p)
-        order *= g.p
+    _require_consistent(P)
+    x, p, order = _as_vec(a, P.prime), P.prime, 1
+    while any(x):
+        x = _pow(x, p, P)
+        order *= p
     return order
 
 

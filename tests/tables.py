@@ -1,12 +1,20 @@
-"""Table oracles: the p^5 table route that the tests hold the collector,
-the pc sequences and the element operations against.
+"""Oracles for the tests: the p^5 multiplication table and the letter
+collector, two routes independent of the syllable collector in
+`p5tensor.pcgroup`.
 
-`TableGroup` adds to a `PcGroup`'s right multiplication table R the
-left tables, the inverse and conjugation tables, vectorised products
-and p-th powers on index arrays, coset representatives and quotients
-G/N with an order census.  Every one of them is built from R, and the
-tests check R against the collector on every element (`_rmul1`), so
-each oracle rests on that one comparison.
+`TableGroup` builds the right multiplication table R of a presentation
+by its own recursion (peeling the highest generator letter and composing
+tables already built), and adds the left tables, the inverse and
+conjugation tables, vectorised products and p-th powers on index arrays,
+coset representatives and quotients G/N with an order census.  Every one
+of them is built from R, and the tests check R against the collector on
+every element (`_rmul1`), so each table oracle rests on that one
+comparison.  The table holds p^5 entries per generator, so TableGroup
+refuses p > 13.
+
+`LetterCollector` collects one letter per unit of exponent, lifting with
+the single conjugates g_k [g_k, g_j]; `letter_consistency_ok` runs the
+consistency triples on it.
 """
 
 import numpy as np
@@ -16,18 +24,113 @@ from p5tensor.pcgroup import (
     IDENTITY,
     Element,
     InconsistentPresentation,
-    PcGroup,
     PcPresentation,
     Subgroup,
     _collect_into,
     _require_commuting,
+    _require_consistent,
 )
+
+# the largest group whose tables are built
+TABLE_LIMIT = 400_000
+
+
+class GroupTooLarge(ValueError):
+    """p^5 exceeds the entries that the tables may hold."""
+
+
+def _letters(vec) -> list:
+    """Expand an exponent vector into generator letters, low index first."""
+    out = []
+    for i in range(5):
+        out.extend([i + 1] * vec[i])
+    return out
+
+
+class LetterCollector:
+    """Collection from the left, one letter g_j at a time.
+
+    A letter lands in place once every generator above it in the normal
+    form commutes with it (and, when g_j^p wraps to its tail, once
+    nothing is above it).  Otherwise the part w of the normal form from
+    the lowest such generator up is lifted off, and out * g_j =
+    (out / w) * g_j * w^(g_j) goes back on the stack, with w^(g_j) the
+    product of the letters of g_k [g_k, g_j].
+    """
+
+    def __init__(self, P: PcPresentation):
+        self.pm1 = P.prime - 1
+        # lift[j][k]: letters of g_j^-1 g_k g_j = g_k [g_k, g_j], reversed
+        # for stack.extend; blockers[j]: the k > j with [g_k, g_j] != 1
+        self.lift = [[None] * 6 for _ in range(6)]
+        self.blockers = [()] * 6
+        self.suffix = [None] * 6
+        for j in range(1, 6):
+            for k in range(j + 1, 6):
+                tail = P.comm_tails[(k, j)]
+                self.lift[j][k] = tuple(reversed([k] + _letters(tail)))
+                if any(tail):
+                    self.blockers[j] += (k,)
+            self.suffix[j] = list(P.power_tails[j - 1][j:])
+
+    def collect(self, letters) -> Element:
+        pm1, lift, blockers, suffix = (self.pm1, self.lift, self.blockers,
+                                       self.suffix)
+        out = [0, 0, 0, 0, 0]
+        stack = list(reversed(letters))
+        while stack:
+            j = stack.pop()
+            for k in blockers[j]:
+                if out[k - 1]:
+                    break
+            else:
+                if out[j - 1] != pm1:
+                    out[j - 1] += 1
+                    continue
+                if not any(out[j:]):
+                    out[j - 1] = 0
+                    out[j:] = suffix[j]  # g_j^p = tail
+                    continue
+                k = j + 1
+            for m in range(5, k - 1, -1):
+                e = out[m - 1]
+                if e:
+                    stack.extend(lift[j][m] * e)
+                    out[m - 1] = 0
+            stack.append(j)
+        return tuple(out)
+
+
+def letter_consistency_ok(P: PcPresentation) -> bool:
+    """The consistency triples of `consistency_check`, collected letter
+    by letter."""
+    p, collect = P.prime, LetterCollector(P).collect
+    for k in range(3, 6):
+        for j in range(2, k):
+            for i in range(1, j):
+                if collect([k] + _letters(collect([j, i]))) != \
+                        collect(_letters(collect([k, j])) + [i]):
+                    return False
+    for j in range(2, 6):
+        for i in range(1, j):
+            ji = _letters(collect([j, i]))
+            if collect(_letters(P.power_tails[j - 1]) + [i]) != \
+                    collect([j] * (p - 1) + ji):
+                return False
+            if collect([j] + _letters(P.power_tails[i - 1])) != \
+                    collect(ji + [i] * (p - 1)):
+                return False
+    for i in range(1, 6):
+        tail = _letters(P.power_tails[i - 1])
+        if collect(tail + [i]) != collect([i] + tail):
+            return False
+    return True
 
 
 def _rmul1(P: PcPresentation, e: Element, j: int) -> Element:
     """e g_j by the collector."""
     out = list(e)
-    _collect_into(out, [j], P)
+    _collect_into(out, [(j, 1)], P)
     return tuple(out)
 
 
@@ -99,17 +202,102 @@ class Quotient:
         return order_census_type(reps, self.rep[g.pth(reps)], g.p)
 
 
-class TableGroup(PcGroup):
-    """A PcGroup with the lazy tables and array routines of the oracles:
-    L[i][x] = g_i x, its inverse permutation x -> g_i^-1 x, the inverse
-    table and conj[i][x] = g_i^-1 x g_i.  L and the inverse are filled
-    in peel order by `_peel`, like R."""
+class TableGroup:
+    """The table route of one presentation.
+
+    Construction refuses a group whose p^5 elements exceed the table
+    limit, then runs the consistency triples and refuses a bad
+    presentation; the tables would silently build nonsense otherwise.
+    R[j][x] = x g_j is one numpy int64 array per generator over the
+    element indices sum e_i p^(5-i), filled in peel order by `_peel`.
+    The lazy tables L[i][x] = g_i x, its inverse permutation
+    x -> g_i^-1 x, the inverse table and conj[i][x] = g_i^-1 x g_i are
+    built from R the same way.
+    """
 
     def __init__(self, P: PcPresentation):
-        super().__init__(P)
+        if P.prime**5 > TABLE_LIMIT:
+            raise GroupTooLarge(
+                f"p = {P.prime}: the {P.prime**5} elements of a group of "
+                f"order p^5 exceed the table limit of {TABLE_LIMIT}")
+        _require_consistent(P)
+        self.P = P
+        p = self.p = P.prime
+        self.n = p**5
+        self.strides = (p**4, p**3, p**2, p, 1)
+        self.R = [None] * 6
+        for j in range(5, 0, -1):
+            self.R[j] = self._build_r(j)
         self._left = None
         self._inv = None
         self._conj = None
+
+    def _peel(self, tab: np.ndarray, step, above: int = 0) -> np.ndarray:
+        """Fill tab[x] = step(k, tab[x / g_k]) for every x whose highest
+        letter g_k lies above g_`above`; `tab` must already hold the rest.
+
+        Level (k, e) holds the x that end in g_k^e.  Their parents x / g_k
+        end in g_k^(e-1), or for e = 1 in a lower letter, so the levels
+        are filled in order (k, e) = (above+1, 1) ... (5, p-1), each by
+        one gather over all its entries.
+        """
+        p = self.p
+        for k in range(above + 1, 6):
+            level = tab.reshape(-1, p, self.strides[k - 1])[:, :, 0]
+            for e in range(1, p):
+                level[:, e] = step(k, level[:, e - 1])
+        return tab
+
+    def _build_r(self, j: int) -> np.ndarray:
+        """x g_j; for x = y g_k with k > j, x g_j = (y g_j) g_k [g_k, g_j]
+        reads tables already built."""
+        p, s = self.p, self.strides[j - 1]
+        tail = sum(t * st for t, st in zip(self.P.power_tails[j - 1],
+                                           self.strides))
+        tab = np.empty(self.n, dtype=np.int64)
+        # no letter above g_j: raise e_j, wrapping g_j^p to its tail
+        x = np.arange(0, self.n, s)
+        tab[::s] = np.where(x // s % p == p - 1, x - (p - 1) * s + tail,
+                            x + s)
+        R = self.R
+        chain = {k: [k] + _letters(self.P.comm_tails[(k, j)])
+                 for k in range(j + 1, 6)}
+
+        def step(k, v):
+            for t in chain[k]:
+                v = R[t][v]
+            return v
+
+        return self._peel(tab, step, above=j)
+
+    def idx_of(self, e) -> int:
+        s = self.strides
+        return (e[0] * s[0] + e[1] * s[1] + e[2] * s[2]
+                + e[3] * s[3] + e[4])
+
+    def exps_of(self, idx: int) -> Element:
+        p, x = self.p, int(idx)
+        s1, s2, s3, s4, _ = self.strides
+        return (x // s1, x // s2 % p, x // s3 % p, x // s4 % p, x % p)
+
+    def mult_idx(self, a: int, b: int) -> int:
+        p = self.p
+        for tab, s in zip(self.R[1:], self.strides):
+            for _ in range(b // s % p):
+                a = tab.item(a)
+        return a
+
+    def solve_idx(self, u: int, w: int) -> int:
+        """The x with u x = w, one exponent at a time: once u agrees with
+        w below g_k, the k-th exponent of x is their difference at g_k,
+        which `w // s - u // s` reads modulo p."""
+        p, x = self.p, 0
+        for tab, s in zip(self.R[1:], self.strides):
+            e = (w // s - u // s) % p
+            x += e * s
+            for _ in range(e):
+                u = tab.item(u)
+        return x
 
     @property
     def left(self):

@@ -7,7 +7,7 @@ import pytest
 
 from p5tensor import families
 from p5tensor.cli import main
-from p5tensor.pcgroup import GroupTooLarge, generator, multiply
+from p5tensor.pcgroup import commutator, generator, multiply, normalize
 
 
 def run(capsys, *argv):
@@ -181,9 +181,9 @@ def test_verify_at_more_primes(capsys, p):
     assert out.splitlines()[-1] == "PASS"
 
 
-def test_groups_above_the_table_limit_are_refused(capsys):
-    # p^5 = 1419857 elements at p = 17 exceed the table limit; verify and
-    # the element listing need no tables, the element operations do
+def test_groups_above_p13_run_on_the_collector(capsys):
+    # p = 17: verify, the element listing and the element operations build
+    # nothing with p^5 = 1419857 entries
     rc, out, err = run(capsys, "verify", "--prime", "17", "--family", "1")
     assert rc == 0
     assert out.splitlines()[-1] == "PASS"
@@ -199,8 +199,14 @@ def test_groups_above_the_table_limit_are_refused(capsys):
     ] + [f"  (0, 0, 0, 0, {e}) = g5^{e}" for e in range(2, 8)] + [
         "  ... 1419849 more",
     ]
-    with pytest.raises(GroupTooLarge):
-        multiply(generator(1), generator(2), families.build("1", 17))
+    g1, g2 = generator(1), generator(2)
+    for row, tail in (("1", (0, 0, 0, 0, 0)), ("9", (0, 0, 1, 0, 0))):
+        P = families.build(row, 17)
+        assert multiply(g1, g2, P) == normalize([(1, 1), (2, 1)], P) \
+            == (1, 1, 0, 0, 0)
+        assert multiply(g2, g1, P) == normalize([(2, 1), (1, 1)], P) \
+            == (1, 1) + tail[2:]
+        assert commutator(g2, g1, P) == P.comm_tail(2, 1) == tail
 
 
 def test_catalog_views_need_no_tables(capsys):

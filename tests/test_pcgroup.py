@@ -1,8 +1,8 @@
 """Collector, tables, and subgroup machinery on five-generator
 power-commutator presentations."""
 
-import collections
 import random
+import types
 
 import numpy as np
 import pytest
@@ -12,10 +12,8 @@ from p5tensor import (ab_from_presentation, build, compute_record,
                       list_families, pcgroup, validate)
 from p5tensor.pcgroup import (
     IDENTITY,
-    GroupTooLarge,
     InconsistentPresentation,
     NotAbelian,
-    PcGroup,
     PcPresentation,
     Subgroup,
     abelian_invariants_of,
@@ -36,9 +34,12 @@ from p5tensor.pcgroup import (
     power,
     subgroup_closure,
     _center_seq,
+    _collect_ctx,
+    _conjugate,
 )
 
-from tables import (NotNormal, TableGroup, enumerate_elements,
+from tables import (GroupTooLarge, NotNormal, TableGroup,
+                    enumerate_elements, letter_consistency_ok,
                     order_census_type)
 
 P5 = 5
@@ -128,6 +129,44 @@ def test_order_divides_group_order(a):
         assert power(a, n // P5, P) != IDENTITY
 
 
+@pytest.mark.parametrize("p", (7, 17))
+def test_normalize_takes_large_exponents(p):
+    # at p = 17, p^5 - 1 is about 1.4 M units of exponent in one pair
+    for row in ("1", "9", "14", "40"):
+        P = build(row, p)
+        for g in range(1, 6):
+            assert normalize([(g, p)], P) == P.power_tails[g - 1], row
+            for n in (p, p**2 + 3, p**5 - 1, -p - 1, -(p**5 - 1)):
+                assert normalize([(g, n)], P) == \
+                    power(generator(g), n, P), (row, g, n)
+
+
+def word_of(e):
+    return [(i + 1, x) for i, x in enumerate(e)]
+
+
+def test_element_operations_at_p101():
+    p = 101
+    rng = random.Random(p)
+    for row in ALL_ROWS:
+        P = build(row, p)
+        for _ in range(3):
+            a, b, c = (tuple(rng.randrange(p) for _ in range(5))
+                       for _ in range(3))
+            ab = multiply(a, b, P)
+            assert ab == normalize(word_of(a) + word_of(b), P), row
+            assert multiply(ab, c, P) == multiply(a, multiply(b, c, P), P)
+            assert multiply(a, inverse(a, P), P) == IDENTITY, row
+            n = order_of(a, P)
+            assert p**5 % n == 0, row
+            assert power(a, n, P) == IDENTITY, row
+        for bad in ((p, 0, 0, 0, 0), (0, 0, -1, 0, 0)):
+            with pytest.raises(ValueError):
+                multiply(bad, a, P)
+            with pytest.raises(ValueError):
+                order_of(bad, P)
+
+
 # --- enumeration and consistency ------------------------------------------
 
 def test_enumerate_full_group():
@@ -150,10 +189,41 @@ def test_consistency_catches_bad_power_tail():
 
 
 def test_tables_stop_at_the_table_limit():
-    assert PcGroup(PcPresentation(13)).n == 13**5
+    assert TableGroup(PcPresentation(13)).n == 13**5
     big = PcPresentation(17)
     with pytest.raises(GroupTooLarge):
-        PcGroup(big)
+        TableGroup(big)
+
+
+def perturbed(P, rng):
+    """P with one tail exponent changed: in the power tail of one of
+    g1..g4 or the tail of one [g_j, g_i] with j < 5, at a position above
+    g_i or g_j, to a new value."""
+    p = P.prime
+    power_tails, comm_tails = list(P.power_tails), dict(P.comm_tails)
+    slots = [(power_tails, i - 1, i) for i in range(1, 5)] + \
+        [(comm_tails, (j, i), j) for j, i in comm_tails if j < 5]
+    tails, key, low = rng.choice(slots)
+    vec = list(tails[key])
+    m = rng.randrange(low, 5)
+    vec[m] = rng.choice([x for x in range(p) if x != vec[m]])
+    tails[key] = tuple(vec)
+    return PcPresentation(p, power_tails, comm_tails)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_consistency_verdict_matches_the_letter_collector(p):
+    rng = random.Random(p)
+    verdicts = []
+    for row in ALL_ROWS:
+        P = build(row, p)
+        for _ in range(8):
+            Q = perturbed(P, rng)
+            ok = consistency_check(Q).ok
+            assert ok == letter_consistency_ok(Q), (row, Q)
+            verdicts.append(ok)
+    # the sample holds both verdicts in number
+    assert 50 < verdicts.count(False) < len(verdicts) - 50
 
 
 def test_consistency_clean_on_good_presentations():
@@ -326,6 +396,31 @@ def test_element_operations_match_the_oracle_tables(p):
 
 
 @pytest.mark.parametrize("p", (5, 7))
+def test_conjugate_memo_matches_the_tables(p):
+    # conj[j][m][e][c] against g_j^-e g_m^c g_j^e: the table conj[j]
+    # applied e times to g_m^c, for every entry
+    entries = 0
+    for row, params in groups_at(p):
+        P = build(row, p, params)
+        g = TableGroup(P)
+        memo = _collect_ctx(P)[1]
+        for j in range(1, 5):
+            for m in range(j + 1, 6):
+                x = np.arange(1, p) * g.strides[m - 1]
+                for e in range(1, p):
+                    x = g.conj[j][x]
+                    for c in range(1, p):
+                        syl = memo[j][m][e][c] or _conjugate(P, j, m, e, c)
+                        got = [0, 0, 0, 0, 0]
+                        for l, v in syl:
+                            got[l - 1] = v
+                        assert tuple(got) == g.exps_of(x[c - 1]), \
+                            (row, params, j, m, e, c)
+                        entries += 1
+    assert entries == len(groups_at(p)) * 10 * (p - 1)**2
+
+
+@pytest.mark.parametrize("p", (5, 7))
 def test_coset_reps_are_least_coset_elements(p):
     # rep[x]^-1 x in N puts rep[x] in x N; constant under N's generators
     # and rep[x] <= x make it the least element there
@@ -470,15 +565,22 @@ def test_subgroup_elements_are_the_pc_products():
 
 
 def test_subgroup_routes_build_no_tables(monkeypatch):
+    # records and element operations run on the collector alone: pcgroup
+    # holds no numpy, and no table oracle is built on the way
     def refuse(self, P):
-        raise AssertionError("PcGroup built")
+        raise AssertionError("TableGroup built")
 
-    monkeypatch.setattr(PcGroup, "__init__", refuse)
-    monkeypatch.setattr(pcgroup, "_GROUP_CACHE", collections.OrderedDict())
+    monkeypatch.setattr(TableGroup, "__init__", refuse)
+    assert not [name for name, value in vars(pcgroup).items()
+                if isinstance(value, types.ModuleType)
+                and value.__name__.partition(".")[0] == "numpy"]
     for row in ALL_ROWS:
         rec = compute_record(row, 7)
         validate(rec)
         assert rec.ok, row
+        P = build(row, 7)
+        assert commutator(generator(2), generator(1), P) == \
+            P.comm_tail(2, 1), row
 
 
 def test_quotient_by_derived_subgroup_is_the_abelianization():
