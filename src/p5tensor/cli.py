@@ -47,8 +47,7 @@ def _json_cell(value):
     if isinstance(value, tuple):
         return list(value)
     if isinstance(value, invariants.TensorStructure):
-        return {"abelian_part": list(value.abelian_part),
-                "e1_factor": value.e1_factor}
+        return value.to_json_dict()
     return value
 
 

@@ -59,6 +59,10 @@ class TensorStructure:
     def __str__(self):
         return self.format()
 
+    def to_json_dict(self):
+        return {"abelian_part": list(self.abelian_part),
+                "e1_factor": bool(self.e1_factor)}
+
 
 def _as_structure(value):
     if isinstance(value, TensorStructure):
@@ -292,11 +296,6 @@ def validate(record):
     return results
 
 
-def _ts_dict(ts):
-    return {"abelian_part": list(ts.abelian_part),
-            "e1_factor": bool(ts.e1_factor)}
-
-
 def record_dict(record):
     """JSON-ready dict, matching schema/invariant_record.schema.json."""
     e = record.expected
@@ -312,8 +311,8 @@ def record_dict(record):
             "exponent": record.exponent,
             "nabla": list(record.nabla),
             "j2": list(record.j2),
-            "wedge": _ts_dict(record.wedge),
-            "tensor": _ts_dict(record.tensor),
+            "wedge": record.wedge.to_json_dict(),
+            "tensor": record.tensor.to_json_dict(),
             "capable": record.capable,
         },
         "expected": {
@@ -324,8 +323,8 @@ def record_dict(record):
             "class": e.cl,
             "nabla": list(e.nabla),
             "j2": list(e.j2),
-            "wedge": _ts_dict(e.wedge),
-            "tensor": _ts_dict(e.tensor),
+            "wedge": e.wedge.to_json_dict(),
+            "tensor": e.tensor.to_json_dict(),
             "wedge_center": list(e.wedge_center),
             "tensor_center": list(e.tensor_center),
             "sources": dict(e.sources),

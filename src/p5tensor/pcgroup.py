@@ -609,30 +609,15 @@ class Subgroup:
     distinct depths with leading exponent 1, whose products
     s_1^e_1 ... s_m^e_m (0 <= e_i < p) are the subgroup."""
 
-    __slots__ = ("_P", "generators", "_elements")
+    __slots__ = ("_P", "generators")
 
     def __init__(self, P: PcPresentation, generators):
         self._P = P
         self.generators = tuple(generators)
-        self._elements = None
 
     @property
     def order(self) -> int:
         return self._P.prime ** len(self.generators)
-
-    @property
-    def elements(self) -> tuple:
-        """Every element, in increasing exponent order."""
-        if self._elements is None:
-            P = self._P
-            elems = [IDENTITY]
-            for s in reversed(self.generators):
-                powers = [IDENTITY]
-                for _ in range(P.prime - 1):
-                    powers.append(_mul(powers[-1], s, P))
-                elems = [_mul(t, y, P) for t in powers for y in elems]
-            self._elements = tuple(sorted(elems))
-        return self._elements
 
     def __contains__(self, e) -> bool:
         x = _as_vec(e, self._P.prime)
@@ -679,13 +664,17 @@ def power(a: Element, n: int, P: PcPresentation) -> Element:
     return _pow(a, n, P)
 
 
-def order_of(a: Element, P: PcPresentation) -> int:
-    _require_consistent(P)
-    x, p, order = _as_vec(a, P.prime), P.prime, 1
+def _order(x, P: PcPresentation) -> int:
+    p, order = P.prime, 1
     while any(x):
         x = _pow(x, p, P)
         order *= p
     return order
+
+
+def order_of(a: Element, P: PcPresentation) -> int:
+    _require_consistent(P)
+    return _order(_as_vec(a, P.prime), P)
 
 
 def generator(i: int) -> Element:
@@ -740,14 +729,7 @@ def exponent(P: PcPresentation) -> int:
     is the largest order among any generating set.
     """
     _require_consistent(P)
-    p, best = P.prime, 1
-    for x in _GENS:
-        order = 1
-        while any(x):
-            x = _pow(x, p, P)
-            order *= p
-        best = max(best, order)
-    return best
+    return max(_order(g, P) for g in _GENS)
 
 
 def _require_commuting(mult, gens) -> None:

@@ -173,7 +173,7 @@ def test_verify_reports_a_row_that_breaks_an_identity(capsys, monkeypatch):
     assert lines[-1] == "FAIL"
 
 
-@pytest.mark.parametrize("p", (11, 13))
+@pytest.mark.parametrize("p", (11, 13, 59, 101))
 def test_verify_at_more_primes(capsys, p):
     rc, out, _ = run(capsys, "verify", "--prime", str(p))
     assert rc == 0

@@ -57,7 +57,7 @@ def test_model_component_values():
 
 def test_model_array_route_agrees_pointwise():
     m = QuadraticModel((5, 3))
-    xs = m.all_elements()
+    xs = list(itertools.product(range(5), range(3)))
     arr = m.gamma_of_array(xs)
     for row, x in zip(arr, xs):
         assert tuple(row) == m.gamma_of(tuple(x))
@@ -70,6 +70,35 @@ def test_gamma_relation_check_passes(moduli):
     assert rep.ok, rep.failures
     assert rep.checked == 2 * 2000 + 1
     assert bool(rep)
+
+
+class _ScaledModel(QuadraticModel):
+    """gamma times p: both laws still hold, but the image spans only a
+    p-th of the value group, which the span check alone can see."""
+
+    def __init__(self, moduli, p):
+        super().__init__(moduli)
+        self.p = p
+
+    def gamma_of(self, x):
+        return tuple(self.p * v % m for v, m in
+                     zip(super().gamma_of(x), self.value_moduli))
+
+    def gamma_of_array(self, xs):
+        return self.p * super().gamma_of_array(xs) % self.value_moduli
+
+
+@pytest.mark.parametrize("moduli, p, span", [((7,), 7, 1),
+                                             ((49, 7), 7, 7),
+                                             ((101**2, 101), 101, 101)])
+def test_gamma_relation_check_fails_a_model_that_spans_too_little(
+        moduli, p, span):
+    model = _ScaledModel(moduli, p)
+    expected = model.expected_image_span()
+    rep = gamma_relation_check(model, trials=2000, seed=11)
+    assert not rep.ok
+    assert rep.failures == (
+        f"image spans a subgroup of order {span}, expected {expected}",)
 
 
 def test_gamma_relation_check_mixed_primes():
@@ -90,7 +119,6 @@ def test_counting_vs_snf_clean_and_reproducible():
 @pytest.mark.parametrize("moduli, p", [((9,), 3), ((27, 9, 3), 3),
                                        ((125, 25), 5), ((49, 49, 7), 7)])
 def test_torsion_count_matches_a_loop_over_the_elements(moduli, p):
-    # (49, 49, 7) has 16807 elements: four full blocks and a partial one
     for k in range(1, 4):
         q = p**k
         expected = sum(all(q * x % m == 0 for x, m in zip(xs, moduli))
