@@ -88,7 +88,11 @@ def j2(P, multiplier):
     group's classifying space; algebraically nabla plus the supplied
     multiplier type.
     """
-    return direct_sum(nabla(P), canon(multiplier))
+    return _j2(nabla(P), multiplier)
+
+
+def _j2(nab, multiplier):
+    return direct_sum(nab, canon(multiplier))
 
 
 def exterior_square(P, multiplier, expected=None):
@@ -101,16 +105,21 @@ def exterior_square(P, multiplier, expected=None):
     recorded value, which is admitted only after passing the order
     identity and the exponent constraint.
     """
+    return _exterior_square(P, multiplier, expected,
+                            ab_from_presentation(P),
+                            abelian_invariants_of(derived_subgroup(P), P))
+
+
+def _exterior_square(P, multiplier, expected, ab, dv_type):
+    """`exterior_square`, given the abelianization and G'."""
     p = P.prime
     mult = canon(multiplier)
-    dv = derived_subgroup(P)
-    if dv.order == 1:
-        w = wedge_ab(ab_from_presentation(P))
+    if dv_type == ():
+        w = wedge_ab(ab)
         if mult != w:
             raise MultiplierMismatch(
                 f"abelian group: multiplier {mult} != exterior square {w}")
         return TensorStructure(w)
-    dv_type = abelian_invariants_of(dv, P)
     if mult == ():
         return TensorStructure(dv_type)
     if expected is None:
@@ -132,9 +141,12 @@ def exterior_square(P, multiplier, expected=None):
 def tensor_square(P, wedge):
     """Tensor square assembled from the wedge: nabla splits off as a
     direct factor for odd-order groups."""
+    return _tensor_square(nabla(P), wedge)
+
+
+def _tensor_square(nab, wedge):
     w = _as_structure(wedge)
-    return TensorStructure(direct_sum(nabla(P), w.abelian_part),
-                           w.e1_factor)
+    return TensorStructure(direct_sum(nab, w.abelian_part), w.e1_factor)
 
 
 def capability(expected):
@@ -183,25 +195,29 @@ class InvariantRecord:
 
 def compute_record(family, p, params=None, **extra):
     """Build the group, compute every invariant, and attach the catalog
-    expectations (validation is a separate step)."""
+    expectations (validation is a separate step).  Each invariant is
+    computed once: G^ab and G' feed nabla, j2 and both squares."""
     expected = families.expected_record(family, p, params, **extra)
     P = families.build(family, p, params, **extra)
-    rec = InvariantRecord(
+    ab = ab_from_presentation(P)
+    nab = gamma(ab, prime=p)
+    derived_type = abelian_invariants_of(derived_subgroup(P), P)
+    wedge = _exterior_square(P, expected.multiplier, expected.wedge, ab,
+                             derived_type)
+    return InvariantRecord(
         family=expected.row, p=p, params=dict(expected.params),
         center_type=abelian_invariants_of(center(P), P),
-        derived_type=abelian_invariants_of(derived_subgroup(P), P),
-        ab_type=ab_from_presentation(P),
+        derived_type=derived_type,
+        ab_type=ab,
         cl=nilpotency_class(P),
         exponent=exponent(P),
-        nabla=nabla(P),
-        j2=j2(P, expected.multiplier),
-        wedge=exterior_square(P, expected.multiplier, expected.wedge),
-        tensor=TensorStructure((), False),
+        nabla=nab,
+        j2=_j2(nab, expected.multiplier),
+        wedge=wedge,
+        tensor=_tensor_square(nab, wedge),
         capable=capability(expected),
         expected=expected,
     )
-    rec.tensor = tensor_square(P, rec.wedge)
-    return rec
 
 
 # expected-record field each check reads, for erratum cross-referencing

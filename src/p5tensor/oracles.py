@@ -31,6 +31,10 @@ from .abelian import (
 )
 
 
+# the largest modulus whose residues multiply within int64
+_INT64_MODULUS = math.isqrt(2**63 - 1) + 1
+
+
 @dataclass(frozen=True)
 class OracleReport:
     ok: bool
@@ -88,7 +92,9 @@ class QuadraticModel:
     Components: one square x_i^2 mod n_i per factor and one cross
     product x_i x_j mod gcd(n_i, n_j) per pair i < j.  Only odd moduli
     are meaningful here; 2-torsion obeys different rules and is
-    refused.
+    refused.  The array route computes in int64 while a product of two
+    residues fits, and in exact Python ints once a modulus passes
+    sqrt(2^63).
     """
 
     def __init__(self, moduli):
@@ -106,6 +112,8 @@ class QuadraticModel:
         self.pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
         self.value_moduli = tuple(moduli) + tuple(
             math.gcd(moduli[i], moduli[j]) for i, j in self.pairs)
+        self._dtype = (np.int64 if max(moduli) <= _INT64_MODULUS
+                       else object)
 
     def gamma_of(self, x) -> tuple:
         x = tuple(x)
@@ -120,10 +128,11 @@ class QuadraticModel:
 
     def gamma_of_array(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized gamma on a (N, r) array of coordinates."""
-        xs = np.asarray(xs, dtype=np.int64)
-        mod = np.array(self.moduli, dtype=np.int64)
+        xs = np.asarray(xs, dtype=self._dtype)
+        mod = np.array(self.moduli, dtype=self._dtype)
         xs = xs % mod
-        out = np.empty((xs.shape[0], len(self.value_moduli)), dtype=np.int64)
+        out = np.empty((xs.shape[0], len(self.value_moduli)),
+                       dtype=self._dtype)
         out[:, :len(self.moduli)] = (xs * xs) % mod
         for c, (i, j) in enumerate(self.pairs, start=len(self.moduli)):
             out[:, c] = (xs[:, i] * xs[:, j]) % self.value_moduli[c]
@@ -155,22 +164,25 @@ def gamma_relation_check(model: QuadraticModel, trials: int = 10_000,
     since gamma(e_i) and gamma(e_i + e_j) span V.
     """
     rng = random.Random(seed)
-    mod = np.array(model.moduli, dtype=np.int64)
-    vmod = np.array(model.value_moduli, dtype=np.int64)
-    a = _random_points(rng, model.moduli, trials)
-    b = _random_points(rng, model.moduli, trials)
-    c = _random_points(rng, model.moduli, trials)
+    dtype = model._dtype
+    mod = np.array(model.moduli, dtype=dtype)
+    vmod = np.array(model.value_moduli, dtype=dtype)
+    a, b, c = (_random_points(rng, model.moduli, trials)
+               .astype(dtype, copy=False) for _ in range(3))
     g = model.gamma_of_array
+
+    def point(x, i):
+        return tuple(x[i].tolist())
 
     failures = []
 
     bad = np.nonzero((g((-a) % mod) != g(a)).any(axis=1))[0]
     if bad.size:
-        i = int(bad[0])
+        x = point(a, int(bad[0]))
         failures.append(
-            f"evenness fails at x={tuple(a[i])}: "
-            f"gamma(-x)={model.gamma_of(tuple(-a[i]))} "
-            f"gamma(x)={model.gamma_of(tuple(a[i]))}")
+            f"evenness fails at x={x}: "
+            f"gamma(-x)={model.gamma_of(tuple(-v for v in x))} "
+            f"gamma(x)={model.gamma_of(x)}")
 
     lhs = (g((a + b + c) % mod) + g(a) + g(b) + g(c)) % vmod
     rhs = (g((a + b) % mod) + g((b + c) % mod) + g((c + a) % mod)) % vmod
@@ -178,8 +190,8 @@ def gamma_relation_check(model: QuadraticModel, trials: int = 10_000,
     if bad.size:
         i = int(bad[0])
         failures.append(
-            f"six-term law fails at a={tuple(a[i])} b={tuple(b[i])} "
-            f"c={tuple(c[i])}")
+            f"six-term law fails at a={point(a, i)} b={point(b, i)} "
+            f"c={point(c, i)}")
 
     r = len(model.moduli)
     # the witnesses e_i and e_i + e_j
@@ -197,7 +209,8 @@ def gamma_relation_check(model: QuadraticModel, trials: int = 10_000,
     smallest = min(m for m in model.moduli if m > 1) if any(
         m > 1 for m in model.moduli) else 1
     if smallest > 1:
-        p = min(f for f in range(2, smallest + 1) if smallest % f == 0)
+        p = next((f for f in range(2, math.isqrt(smallest) + 1)
+                  if smallest % f == 0), smallest)
         exps = []
         uniform = True
         for m in model.moduli:

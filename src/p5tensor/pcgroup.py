@@ -40,8 +40,13 @@ collector, at a cost polynomial in log|G|.  The pc series is central
 (every tail of [g_j, g_i] lies above g_j), which keeps the algebra
 small: a normal closure needs only p-th powers and commutators with
 g1..g5, and the center is cut out layer by layer as the kernel of a
-linear map to F_p^5.  The type of an abelian subgroup is the Smith
-normal form of its relative power relations.
+linear map to F_p^5.  Each commutator [s, g_i] is taken once: the
+lists that the normal closure of gamma_c computes generate
+gamma_(c+1) = [gamma_c, G] as a normal subgroup (G' is the closure of
+the tails, memoised like the exponent), and the center's layer map
+reads its rows off the lists of each kernel's closure.  The type of an
+abelian subgroup is the Smith normal form of its relative power
+relations.
 
 The tests hold all of this against an independent p^5 multiplication
 table, built by a different recursion: the collector against the table
@@ -114,7 +119,8 @@ class PcPresentation:
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key",
-                 "_inv_powers", "_cctx", "_report")
+                 "_inv_powers", "_cctx", "_report", "_derived",
+                 "_exponent")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = int(prime)
@@ -161,6 +167,8 @@ class PcPresentation:
         self._inv_powers = None
         self._cctx = None
         self._report = None
+        self._derived = None
+        self._exponent = None
 
     def __eq__(self, other):
         return isinstance(other, PcPresentation) and self._key == other._key
@@ -303,7 +311,7 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
     goes right above g_j; the part above g_j is lifted off again and
     collected after it.
     """
-    p, conj, blockers, suffix = _collect_ctx(P)
+    p, conj, blockers, suffix = P._cctx or _collect_ctx(P)
     pop = stack.pop
     push = stack.append
     extend = stack.extend
@@ -415,12 +423,14 @@ def consistency_check(P: PcPresentation) -> ConsistencyReport:
     def word(vec):
         return _stack(vec)[::-1]
 
+    # g_j g_i, collected once per pair
+    swap = {(j, i): word(collect([(j, 1), (i, 1)])) for j, i in _PAIRS}
     failures = []
     for k in range(3, 6):
         for j in range(2, k):
             for i in range(1, j):
-                lhs = collect([(k, 1)] + word(collect([(j, 1), (i, 1)])))
-                rhs = collect(word(collect([(k, 1), (j, 1)])) + [(i, 1)])
+                lhs = collect([(k, 1)] + swap[j, i])
+                rhs = collect(swap[k, j] + [(i, 1)])
                 if lhs != rhs:
                     failures.append(
                         f"overlap g{k}(g{j} g{i}) != (g{k} g{j})g{i}: "
@@ -428,13 +438,13 @@ def consistency_check(P: PcPresentation) -> ConsistencyReport:
     for j in range(2, 6):
         for i in range(1, j):
             lhs = collect(word(P.power_tails[j - 1]) + [(i, 1)])
-            rhs = collect([(j, p - 1)] + word(collect([(j, 1), (i, 1)])))
+            rhs = collect([(j, p - 1)] + swap[j, i])
             if lhs != rhs:
                 failures.append(
                     f"overlap g{j}^p g{i} != g{j}^(p-1)(g{j} g{i}): "
                     f"{lhs} vs {rhs}")
             lhs = collect([(j, 1)] + word(P.power_tails[i - 1]))
-            rhs = collect(word(collect([(j, 1), (i, 1)])) + [(i, p - 1)])
+            rhs = collect(swap[j, i] + [(i, p - 1)])
             if lhs != rhs:
                 failures.append(
                     f"overlap g{j} g{i}^p != (g{j} g{i})g{i}^(p-1): "
@@ -465,7 +475,8 @@ _GENS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
 def _mul(a: Element, b: Element, P: PcPresentation) -> Element:
     """a b, by collecting the syllables of b into a."""
     out = list(a)
-    _collect_into(out, _stack(b), P)
+    _collect_into(out, [(m, b[m - 1]) for m in (5, 4, 3, 2, 1) if b[m - 1]],
+                  P)
     return tuple(out)
 
 
@@ -543,7 +554,9 @@ def _sift(x: Element, slots: list, P: PcPresentation):
 def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     """Induced pc sequence of the subgroup the seeds generate, or with
     `normal` of their normal closure: elements of distinct depths, each
-    with leading exponent 1, by increasing depth.
+    with leading exponent 1, by increasing depth.  Returns the sequence
+    and, in the same order, the commutators that each element s put on
+    the queue: [s, g_1], ..., [s, g_5] for a normal closure.
 
     Each element s that sifts to a new depth is scaled to leading
     exponent 1 and puts s^p and its commutators with the sequence so far
@@ -557,6 +570,7 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     """
     p = P.prime
     slots = [None] * 5
+    comms = [None] * 5
     queue = list(seeds)
     while queue:
         x, d, _ = _sift(queue.pop(), slots, P)
@@ -566,8 +580,19 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
         others = _GENS if normal else [s for s in slots if s is not None]
         slots[d] = x
         queue.append(_pow(x, p, P))
-        queue.extend(_comm(x, y, P) for y in others)
-    return tuple(s for s in slots if s is not None)
+        comms[d] = [_comm(x, y, P) for y in others]
+        queue += comms[d]
+    depths = [d for d in range(5) if slots[d] is not None]
+    return (tuple(slots[d] for d in depths),
+            tuple(comms[d] for d in depths))
+
+
+def _derived(P: PcPresentation) -> tuple:
+    """G' and its commutator lists, as `_closure` returns them: the
+    normal closure of the tails [g_j, g_i], memoised on P."""
+    if P._derived is None:
+        P._derived = _closure(P.comm_tails.values(), P, normal=True)
+    return P._derived
 
 
 def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
@@ -581,13 +606,21 @@ def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
     in the sequence of G_d <= C_d, which holds [C_d, C_d], so modulo
     them C_d is elementary abelian of rank at most the number of pivots.
     C_2 = G: every tail of [g_j, g_i] lies above g_j with j >= 2.
+
+    No commutator is taken here: the rows of the pc generators are read
+    off the tails ([g_a, g_i] is the tail of (a, i) for a > i and its
+    inverse for a < i), and the rows of a kernel's sequence off the
+    lists that its normal closure computed.
     """
     p = P.prime
     seq = _GENS
+    comms = [[P.comm_tails[a, i] if a > i else
+              _solve(P.comm_tails[i, a], IDENTITY, P) if a < i else IDENTITY
+              for i in range(1, 6)] for a in range(1, 6)]
     for d in range(2, stop):
         pivots, seeds = [], []
-        for x in seq:
-            v = [_comm(x, g, P)[d] for g in _GENS]
+        for x, row in zip(seq, comms):
+            v = [c[d] for c in row]
             for y, w, c in pivots:
                 if v[c]:
                     f = v[c] * pow(w[c], -1, p) % p
@@ -600,7 +633,7 @@ def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
                 seeds.append(_pow(x, p, P))
                 pivots.append((x, v, c))
         if pivots:
-            seq = _closure(seeds, P, normal=True)
+            seq, comms = _closure(seeds, P, normal=True)
     return seq
 
 
@@ -685,19 +718,19 @@ def generator(i: int) -> Element:
 
 def subgroup_closure(gens, P: PcPresentation) -> Subgroup:
     _require_consistent(P)
-    return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P))
+    return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P)[0])
 
 
 def normal_closure(gens, P: PcPresentation) -> Subgroup:
     _require_consistent(P)
     return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P,
-                                normal=True))
+                                normal=True)[0])
 
 
 def derived_subgroup(P: PcPresentation) -> Subgroup:
     """G': the normal closure of the commutator tails [g_j, g_i]."""
     _require_consistent(P)
-    return Subgroup(P, _closure(P.comm_tails.values(), P, normal=True))
+    return Subgroup(P, _derived(P)[0])
 
 
 def center(P: PcPresentation) -> Subgroup:
@@ -706,13 +739,16 @@ def center(P: PcPresentation) -> Subgroup:
 
 
 def lower_central_series(P: PcPresentation) -> list:
-    """G = gamma_1 > gamma_2 > ... > 1, with gamma_(c+1) the normal closure
-    of the [s, g_i] over the sequence s of gamma_c."""
+    """G = gamma_1 > gamma_2 > ... > 1, with gamma_2 = G' and
+    gamma_(c+1) the normal closure of the [s, g_i] over the sequence s
+    of gamma_c: the lists that the normal closure of gamma_c computed."""
     _require_consistent(P)
-    series = [_GENS]
-    while series[-1]:
-        series.append(_closure([_comm(s, g, P) for s in series[-1]
-                                for g in _GENS], P, normal=True))
+    seq, comms = _derived(P)
+    series = [_GENS, seq]
+    while seq:
+        seq, comms = _closure([c for row in comms for c in row], P,
+                              normal=True)
+        series.append(seq)
     return [Subgroup(P, seq) for seq in series]
 
 
@@ -726,10 +762,12 @@ def exponent(P: PcPresentation) -> int:
     Every group of order p^5 has class <= 4 < p (PcPresentation refuses
     p < 5), so it is regular (P. Hall, Proc. LMS 36, 1934); in a regular
     p-group the elements of order dividing p^k form a subgroup, and exp G
-    is the largest order among any generating set.
+    is the largest order among any generating set.  Memoised on P.
     """
     _require_consistent(P)
-    return max(_order(g, P) for g in _GENS)
+    if P._exponent is None:
+        P._exponent = max(_order(g, P) for g in _GENS)
+    return P._exponent
 
 
 def _require_commuting(mult, gens) -> None:
@@ -761,7 +799,7 @@ def abelian_invariants_of(elements, P: PcPresentation) -> AbelianType:
             raise ValueError("element set lacks the identity")
         if len(distinct) < len(elems):
             raise ValueError("element set repeats an element")
-        seq = _closure(elems, P)
+        seq = _closure(elems, P)[0]
         if p ** len(seq) != len(elems):
             raise ValueError("set is not closed under multiplication")
     _require_commuting(lambda x, y: _mul(x, y, P), seq)

@@ -22,9 +22,18 @@ from p5tensor import (
     tensor_square,
     validate,
 )
+from p5tensor import families, invariants, pcgroup
 from p5tensor.abelian import canon, direct_sum, order_exponent
 from p5tensor.invariants import record_dict
-from p5tensor.pcgroup import _is_prime
+from p5tensor.pcgroup import (
+    PcPresentation,
+    _is_prime,
+    commutator,
+    derived_subgroup,
+    generator,
+    lower_central_series,
+    normal_closure,
+)
 
 SCHEMA = Path(__file__).resolve().parents[1] / (
     "src/p5tensor/schema/invariant_record.schema.json")
@@ -151,6 +160,63 @@ def test_every_row_passes_at_a_large_prime():
         rec = compute_record(spec.id, 101)
         validate(rec)
         assert rec.ok, spec.id
+
+
+def _spans_the_same(a, b):
+    """Equal subgroups, by sifting each sequence through the other."""
+    return (a.order == b.order and all(s in b for s in a.generators)
+            and all(s in a for s in b.generators))
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_compute_record_computes_each_invariant_once(monkeypatch, p):
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    closure = pcgroup._closure
+
+    def counting_closure(seeds, P, normal=False):
+        seeds = list(seeds)
+        if normal and seeds == list(P.comm_tails.values()):
+            calls["derived"] = calls.get("derived", 0) + 1
+        return closure(seeds, P, normal)
+
+    def fresh_build(*args, **kwargs):
+        # a new presentation, so that nothing is memoised on it yet
+        P = build(*args, **kwargs)
+        return PcPresentation(P.prime, P.power_tails, P.comm_tails)
+
+    monkeypatch.setattr(families, "build", fresh_build)
+    monkeypatch.setattr(invariants, "ab_from_presentation",
+                        counting("ab", invariants.ab_from_presentation))
+    monkeypatch.setattr(pcgroup, "_closure", counting_closure)
+    monkeypatch.setattr(pcgroup, "_order",
+                        counting("order", pcgroup._order))
+    for spec in list_families():
+        calls.clear()
+        compute_record(spec.id, p)
+        assert calls.get("ab") == 1, spec.id
+        assert calls.get("derived") == 1, spec.id
+        # one exponent: the orders of the five pc generators
+        assert calls.get("order", 0) <= 5, spec.id
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_lower_central_series_starts_from_the_derived_subgroup(p):
+    gens = [generator(i) for i in range(1, 6)]
+    for spec in list_families():
+        P = build(spec.id, p)
+        # G' by another route: the normal closure of every [g_a, g_i]
+        direct = normal_closure([commutator(a, b, P) for a in gens
+                                 for b in gens], P)
+        gamma2 = lower_central_series(P)[1]
+        assert _spans_the_same(gamma2, derived_subgroup(P)), spec.id
+        assert _spans_the_same(gamma2, direct), spec.id
 
 
 def parameter_values(spec, p):

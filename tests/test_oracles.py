@@ -4,7 +4,9 @@ on them."""
 
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +101,43 @@ def test_gamma_relation_check_fails_a_model_that_spans_too_little(
     assert not rep.ok
     assert rep.failures == (
         f"image spans a subgroup of order {span}, expected {expected}",)
+
+
+class _OddModel(QuadraticModel):
+    """x^2 + x on one factor: the six-term law holds, evenness fails."""
+
+    def gamma_of_array(self, xs):
+        xs = np.asarray(xs, dtype=np.int64)
+        return (super().gamma_of_array(xs) + xs) % self.value_moduli
+
+
+def test_gamma_relation_check_failure_text_prints_plain_ints():
+    rep = gamma_relation_check(_OddModel((7,)), trials=200, seed=1)
+    assert len(rep.failures) == 1
+    assert re.fullmatch(r"evenness fails at x=\(\d+,\): "
+                        r"gamma\(-x\)=\(\d+,\) gamma\(x\)=\(\d+,\)",
+                        rep.failures[0]), rep.failures
+
+
+def test_gamma_relation_check_is_exact_past_int64_squares():
+    # residues of 65537^2 square past 2^63, which int64 would wrap
+    rep = gamma_relation_check(QuadraticModel((65537**2, 65537)),
+                               trials=200, seed=1)
+    assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("m, dtype", [(3037000499, np.int64),
+                                      (3037000501, object)])
+def test_array_route_turns_exact_at_the_int64_threshold(m, dtype):
+    # (m - 1)^2 < 2^63 <= (m + 1)^2 for the smaller m
+    model = QuadraticModel((m, m))
+    xs = [(m - 1, m - 1), (m - 2, 1), (-1, m - 3)]
+    arr = model.gamma_of_array(xs)
+    assert arr.dtype == dtype
+    for row, x in zip(arr, xs):
+        assert tuple(int(v) for v in row) == model.gamma_of(x)
+    rep = gamma_relation_check(model, trials=500, seed=2)
+    assert rep.ok, rep.failures
 
 
 def test_gamma_relation_check_mixed_primes():

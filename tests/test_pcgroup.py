@@ -249,6 +249,20 @@ def test_center_and_derived_of_heisenberg():
     assert generator(3) in d
 
 
+def test_center_of_an_odd_rank_commutator_form():
+    # [g2,g1] = [g3,g1] = [g3,g2] = g4: the form on <g1, g2, g3> modulo
+    # <g4, g5> is alternating of rank 2, and its radical g1 g2^-1 g3 is
+    # central though no pc generator below g4 is; the layer map needs
+    # [g_a, g_i] for a < i, the inverse of a tail
+    g4 = (0, 0, 0, 1, 0)
+    P = PcPresentation(P5, comm_tails={(2, 1): g4, (3, 1): g4, (3, 2): g4})
+    g = TableGroup(P)
+    z = center(P)
+    assert (as_mask(g, z) == center_mask(g)).all()
+    assert z.order == 5**3
+    assert normalize([(1, 1), (2, -1), (3, 1)], P) in z
+
+
 def test_quotient_of_cyclic_tower():
     P = cyclic_tower()
     q = TableGroup(P).quotient(subgroup_closure([generator(5)], P))
