@@ -61,13 +61,9 @@ from .families import (
     raw_index_conflicts,
 )
 from .invariants import (
-    ExponentViolation,
     InvariantRecord,
-    MultiplierMismatch,
-    OrderIdentityViolation,
     TensorStructure,
     Verdict,
-    capability,
     compute_record,
     exterior_square,
     j2,

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .pcgroup import PcPresentation, _is_prime, consistency_check
-from .pcgroup import InconsistentPresentation
+from .pcgroup import PcPresentation, _is_prime, _require_consistent
 
 
 class BadParam(ValueError):
@@ -189,9 +188,7 @@ def _build_cached(fid, p, param_items):
             vec[int(g) - 1] = _eval_exp(ex, p, w, params)
         comm_tails[(j, i)] = tuple(vec)
     P = PcPresentation(p, power_tails, comm_tails)
-    report = consistency_check(P)
-    if not report.ok:
-        raise InconsistentPresentation(report.failures[0])
+    _require_consistent(P)
     return P
 
 

@@ -3,9 +3,12 @@
 Each record pairs what the group engine and the abelian calculus derive
 from a presentation (center, derived subgroup, abelianization, class,
 exponent, quadratic-functor image, wedge and tensor squares) with the
-catalog row's expected values, then validates the two against each
-other and against the order identities that tie the homological pieces
-together.
+catalog row's expected values.  Until the Schur multiplier and the
+exterior square are computed from the presentation, a record reads the
+recorded multiplier, and it reads the recorded exterior square when
+neither closed route applies (see `exterior_square`).  Recorded values
+are judged in one place only: `validate` compares the two sides and
+checks the order identities that tie the homological pieces together.
 """
 
 from __future__ import annotations
@@ -18,18 +21,6 @@ from .abelian import (ab_from_presentation, canon, direct_sum, format_type,
 from .abelian import wedge_ab
 from .pcgroup import (abelian_invariants_of, center, derived_subgroup,
                       exponent, nilpotency_class)
-
-
-class MultiplierMismatch(ValueError):
-    """Supplied multiplier disagrees with the computed exterior square."""
-
-
-class OrderIdentityViolation(ValueError):
-    """|wedge| != |multiplier| * |derived| for a recorded wedge value."""
-
-
-class ExponentViolation(ValueError):
-    """An exponent-p group was handed a recorded value of larger exponent."""
 
 
 @dataclass(frozen=True)
@@ -64,14 +55,6 @@ class TensorStructure:
                 "e1_factor": bool(self.e1_factor)}
 
 
-def _as_structure(value):
-    if isinstance(value, TensorStructure):
-        return value
-    if isinstance(value, families.ExpectedRecord):
-        return value.wedge
-    return TensorStructure(canon(value))
-
-
 def nabla(P):
     """Image of the diagonal squaring map inside the tensor square.
 
@@ -81,77 +64,44 @@ def nabla(P):
     return gamma(ab_from_presentation(P), prime=P.prime)
 
 
-def j2(P, multiplier):
+def j2(nab, multiplier):
     """Quadratic-functor image extended by the multiplier.
 
     Topologically the third homotopy group of the suspension of the
-    group's classifying space; algebraically nabla plus the supplied
-    multiplier type.
+    group's classifying space; algebraically the direct sum of the
+    types nabla and multiplier.
     """
-    return _j2(nabla(P), multiplier)
-
-
-def _j2(nab, multiplier):
     return direct_sum(nab, canon(multiplier))
 
 
-def exterior_square(P, multiplier, expected=None):
-    """The exterior square, by the cheapest route that stays honest.
+def exterior_square(ab, derived, multiplier, recorded=None):
+    """The exterior square from the types of G^ab, G' and M(G).
 
-    Abelian groups get the pair-gcd formula (and the supplied
-    multiplier must agree with it, since the two coincide there).
-    Trivial-multiplier groups get the derived subgroup's type, which
-    the exterior square collapses onto.  Everything else requires a
-    recorded value, which is admitted only after passing the order
-    identity and the exponent constraint.
+    The route is the first that applies: an abelian group (G' = 1) gets
+    the pair-gcd formula on G^ab; a group with trivial multiplier gets
+    G', which the exterior square collapses onto; any other group gets
+    the `recorded` TensorStructure.  Nothing is judged here: `validate`
+    checks the recorded multiplier against the formula and the recorded
+    square against the order identity and the exponent.  Raises
+    ValueError only when the recorded value is needed and missing.
     """
-    return _exterior_square(P, multiplier, expected,
-                            ab_from_presentation(P),
-                            abelian_invariants_of(derived_subgroup(P), P))
-
-
-def _exterior_square(P, multiplier, expected, ab, dv_type):
-    """`exterior_square`, given the abelianization and G'."""
-    p = P.prime
-    mult = canon(multiplier)
-    if dv_type == ():
-        w = wedge_ab(ab)
-        if mult != w:
-            raise MultiplierMismatch(
-                f"abelian group: multiplier {mult} != exterior square {w}")
-        return TensorStructure(w)
-    if mult == ():
-        return TensorStructure(dv_type)
-    if expected is None:
+    if derived == ():
+        return TensorStructure(wedge_ab(ab))
+    if canon(multiplier) == ():
+        return TensorStructure(derived)
+    if recorded is None:
         raise ValueError("a recorded exterior square is required when the "
                          "multiplier is non-trivial and the group is not "
                          "abelian")
-    ts = _as_structure(expected)
-    want = sum(mult) + sum(dv_type)
-    if ts.order_exponent != want:
-        raise OrderIdentityViolation(
-            f"|wedge| = p^{ts.order_exponent} but |multiplier||derived| "
-            f"= p^{want}")
-    if exponent(P) == p and any(e > 1 for e in ts.abelian_part):
-        raise ExponentViolation(
-            f"group has exponent {p} but recorded wedge {ts} does not")
-    return ts
+    return recorded
 
 
-def tensor_square(P, wedge):
-    """Tensor square assembled from the wedge: nabla splits off as a
-    direct factor for odd-order groups."""
-    return _tensor_square(nabla(P), wedge)
-
-
-def _tensor_square(nab, wedge):
-    w = _as_structure(wedge)
-    return TensorStructure(direct_sum(nab, w.abelian_part), w.e1_factor)
-
-
-def capability(expected):
-    """A group is capable exactly when its exterior center is trivial."""
-    return tuple(expected.wedge_center) == ()
+def tensor_square(nab, wedge):
+    """Tensor square assembled from the type nabla and the exterior
+    square `wedge`: nabla splits off as a direct factor for odd-order
+    groups."""
+    return TensorStructure(direct_sum(nab, wedge.abelian_part),
+                           wedge.e1_factor)
 
 
 @dataclass(frozen=True)
@@ -181,16 +131,57 @@ class InvariantRecord:
     j2: tuple
     wedge: TensorStructure
     tensor: TensorStructure
-    capable: bool
     expected: families.ExpectedRecord
     verdicts: list = field(default_factory=list)
+
+    @property
+    def capable(self):
+        """Trivial exterior center, read from the catalog."""
+        return self.expected.capable
 
     @property
     def ok(self):
         return bool(self.verdicts) and all(v.passed for v in self.verdicts)
 
     def to_json_dict(self):
-        return record_dict(self)
+        """JSON-ready dict, matching schema/invariant_record.schema.json."""
+        e = self.expected
+        return {
+            "family": self.family,
+            "p": self.p,
+            "params": dict(self.params),
+            "computed": {
+                "center": list(self.center_type),
+                "derived": list(self.derived_type),
+                "ab": list(self.ab_type),
+                "class": self.cl,
+                "exponent": self.exponent,
+                "nabla": list(self.nabla),
+                "j2": list(self.j2),
+                "wedge": self.wedge.to_json_dict(),
+                "tensor": self.tensor.to_json_dict(),
+                "capable": self.capable,
+            },
+            "expected": {
+                "multiplier": list(e.multiplier),
+                "center": list(e.center),
+                "derived": list(e.derived),
+                "ab": list(e.ab),
+                "class": e.cl,
+                "nabla": list(e.nabla),
+                "j2": list(e.j2),
+                "wedge": e.wedge.to_json_dict(),
+                "tensor": e.tensor.to_json_dict(),
+                "wedge_center": list(e.wedge_center),
+                "tensor_center": list(e.tensor_center),
+                "sources": dict(e.sources),
+            },
+            "verdicts": [
+                {"check": v.check, "passed": v.passed, "detail": v.detail,
+                 "errata": list(v.errata)}
+                for v in self.verdicts
+            ],
+        }
 
 
 def compute_record(family, p, params=None, **extra):
@@ -202,8 +193,8 @@ def compute_record(family, p, params=None, **extra):
     ab = ab_from_presentation(P)
     nab = gamma(ab, prime=p)
     derived_type = abelian_invariants_of(derived_subgroup(P), P)
-    wedge = _exterior_square(P, expected.multiplier, expected.wedge, ab,
-                             derived_type)
+    wedge = exterior_square(ab, derived_type, expected.multiplier,
+                            expected.wedge)
     return InvariantRecord(
         family=expected.row, p=p, params=dict(expected.params),
         center_type=abelian_invariants_of(center(P), P),
@@ -212,10 +203,9 @@ def compute_record(family, p, params=None, **extra):
         cl=nilpotency_class(P),
         exponent=exponent(P),
         nabla=nab,
-        j2=_j2(nab, expected.multiplier),
+        j2=j2(nab, expected.multiplier),
         wedge=wedge,
-        tensor=_tensor_square(nab, wedge),
-        capable=capability(expected),
+        tensor=tensor_square(nab, wedge),
         expected=expected,
     )
 
@@ -227,7 +217,7 @@ _CHECK_FIELD = {
     "wedge-order": "wedge", "tensor-order-nabla": "tensor",
     "tensor-order-j2": "tensor", "center-chain": "wedge_center",
     "abelian-tensor-center": "tensor_center",
-    "exponent-p-entries": "tensor", "capability": "wedge_center",
+    "exponent-p-entries": "tensor", "multiplier": "multiplier",
 }
 
 
@@ -246,8 +236,9 @@ def validate(record):
     Structural checks compare engine output to the catalog columns;
     order-identity checks tie the homological invariants together; the
     conditional checks cover the abelian and exponent-p special cases.
-    Failed verdicts carry the slugs of any errata touching the same
-    field of the same row.
+    This is the only code that judges recorded values.  Failed verdicts
+    carry the slugs of any errata touching the same field of the same
+    row.
     """
     e = record.expected
     p = record.p
@@ -305,49 +296,12 @@ def validate(record):
     else:
         add("exponent-p-entries", True,
             f"group exponent {record.exponent}; vacuous")
-    add("capability", record.capable == (e.wedge_center == ()),
-        f"capable flag {record.capable}, exterior center {e.wedge_center}")
+    if record.derived_type == ():
+        add("multiplier", e.multiplier == record.wedge.abelian_part,
+            f"abelian group, recorded multiplier {e.multiplier}, "
+            f"exterior square {record.wedge.abelian_part}")
+    else:
+        add("multiplier", True, "not abelian; vacuous")
 
     record.verdicts = results
     return results
-
-
-def record_dict(record):
-    """JSON-ready dict, matching schema/invariant_record.schema.json."""
-    e = record.expected
-    return {
-        "family": record.family,
-        "p": record.p,
-        "params": dict(record.params),
-        "computed": {
-            "center": list(record.center_type),
-            "derived": list(record.derived_type),
-            "ab": list(record.ab_type),
-            "class": record.cl,
-            "exponent": record.exponent,
-            "nabla": list(record.nabla),
-            "j2": list(record.j2),
-            "wedge": record.wedge.to_json_dict(),
-            "tensor": record.tensor.to_json_dict(),
-            "capable": record.capable,
-        },
-        "expected": {
-            "multiplier": list(e.multiplier),
-            "center": list(e.center),
-            "derived": list(e.derived),
-            "ab": list(e.ab),
-            "class": e.cl,
-            "nabla": list(e.nabla),
-            "j2": list(e.j2),
-            "wedge": e.wedge.to_json_dict(),
-            "tensor": e.tensor.to_json_dict(),
-            "wedge_center": list(e.wedge_center),
-            "tensor_center": list(e.tensor_center),
-            "sources": dict(e.sources),
-        },
-        "verdicts": [
-            {"check": v.check, "passed": v.passed, "detail": v.detail,
-             "errata": list(v.errata)}
-            for v in record.verdicts
-        ],
-    }

@@ -770,15 +770,6 @@ def exponent(P: PcPresentation) -> int:
     return P._exponent
 
 
-def _require_commuting(mult, gens) -> None:
-    """Raise NotAbelian unless the generators commute pairwise under
-    `mult`; a closed set they generate is then abelian."""
-    for a, x in enumerate(gens):
-        for y in gens[a + 1:]:
-            if mult(x, y) != mult(y, x):
-                raise NotAbelian(f"generators {x} and {y} do not commute")
-
-
 def abelian_invariants_of(elements, P: PcPresentation) -> AbelianType:
     """Isomorphism type of an abelian subgroup, or of a closed abelian
     element set, from the SNF of its relative power relations.
@@ -802,7 +793,11 @@ def abelian_invariants_of(elements, P: PcPresentation) -> AbelianType:
         seq = _closure(elems, P)[0]
         if p ** len(seq) != len(elems):
             raise ValueError("set is not closed under multiplication")
-    _require_commuting(lambda x, y: _mul(x, y, P), seq)
+    # pairwise commuting generators span an abelian group
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            if _mul(x, y, P) != _mul(y, x, P):
+                raise NotAbelian(f"generators {x} and {y} do not commute")
     slots = _by_depth(seq)
     column = {_depth(s): j for j, s in enumerate(seq)}
     rows = []

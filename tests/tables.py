@@ -24,10 +24,10 @@ from p5tensor.pcgroup import (
     IDENTITY,
     Element,
     InconsistentPresentation,
+    NotAbelian,
     PcPresentation,
     Subgroup,
     _collect_into,
-    _require_commuting,
     _require_consistent,
 )
 
@@ -197,7 +197,11 @@ class Quotient:
         return int(self.rep[self._g.mult_idx(a, b)])
 
     def abelian_invariants(self) -> AbelianType:
-        _require_commuting(self.mult, [r for r in self.gen_reps if r])
+        gens = [r for r in self.gen_reps if r]
+        for a, x in enumerate(gens):
+            for y in gens[a + 1:]:
+                if self.mult(x, y) != self.mult(y, x):
+                    raise NotAbelian(f"generators {x} and {y} do not commute")
         g, reps = self._g, self.reps
         return order_census_type(reps, self.rep[g.pth(reps)], g.p)
 

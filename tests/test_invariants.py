@@ -7,12 +7,8 @@ from pathlib import Path
 import pytest
 
 from p5tensor import (
-    ExponentViolation,
-    MultiplierMismatch,
-    OrderIdentityViolation,
     TensorStructure,
     build,
-    capability,
     compute_record,
     expected_record,
     exterior_square,
@@ -23,8 +19,8 @@ from p5tensor import (
     validate,
 )
 from p5tensor import families, invariants, pcgroup
-from p5tensor.abelian import canon, direct_sum, order_exponent
-from p5tensor.invariants import record_dict
+from p5tensor.abelian import ab_from_presentation, canon, direct_sum, \
+    order_exponent
 from p5tensor.pcgroup import (
     PcPresentation,
     _is_prime,
@@ -56,58 +52,83 @@ def test_nabla_is_gamma_of_abelianization():
 
 
 def test_j2_worked_example():
-    assert j2(build("13", 5), (2,)) == (3, 2, 2, 2)
+    assert j2(nabla(build("13", 5)), (2,)) == (3, 2, 2, 2)
 
 
-def test_exterior_square_abelian_route():
-    P = build("13", 5)
-    assert exterior_square(P, (2,)).abelian_part == (2,)
-    with pytest.raises(MultiplierMismatch):
-        exterior_square(P, (1, 1))
+def types_of(row, p):
+    """The computed types of G^ab and G' of a catalog row."""
+    P = build(row, p)
+    return (ab_from_presentation(P),
+            pcgroup.abelian_invariants_of(derived_subgroup(P), P))
+
+
+def verdicts_with(monkeypatch, row, p, **columns):
+    """Verdicts by name for `row` with the given catalog columns
+    replaced; the catalog is restored when the test ends."""
+    for name, value in columns.items():
+        monkeypatch.setitem(families._data()["rows"][row], name, value)
+    return {v.check: v for v in validate(compute_record(row, p))}
+
+
+def test_exterior_square_abelian_route(monkeypatch):
+    ab, derived = types_of("13", 5)
+    # the pair-gcd formula, whatever the multiplier says
+    assert exterior_square(ab, derived, (2,)).abelian_part == (2,)
+    assert exterior_square(ab, derived, (1, 1)).abelian_part == (2,)
+    # the multiplier verdict judges the recorded multiplier against it,
+    # also when j2 was recorded consistently with the wrong multiplier
+    nab = nabla(build("13", 5))
+    got = verdicts_with(monkeypatch, "13", 5, multiplier=[1, 1],
+                        j2=list(j2(nab, (1, 1))))
+    assert [c for c, v in got.items() if not v.passed] == ["multiplier"]
 
 
 def test_exterior_square_trivial_multiplier_route():
-    P = build("24", 5)
-    w = exterior_square(P, ())
+    ab, derived = types_of("24", 5)
+    w = exterior_square(ab, derived, ())
     assert w.abelian_part == expected_record("24", 5).wedge_parts
     assert not w.e1_factor
 
 
-def test_exterior_square_guards():
-    P = build("3", 5)
+def test_exterior_square_guards(monkeypatch):
+    ab, derived = types_of("3", 5)
     r = expected_record("3", 5)
-    with pytest.raises(OrderIdentityViolation):
-        exterior_square(P, r.multiplier, expected=TensorStructure((2, 2)))
-    # right order, but carries an element of order p^2 in an exponent-p group
-    with pytest.raises(ExponentViolation):
-        exterior_square(P, r.multiplier, expected=TensorStructure((2, 2, 2)))
-    ok = exterior_square(P, r.multiplier, expected=r.wedge)
-    assert ok.abelian_part == r.wedge_parts
+    assert exterior_square(ab, derived, r.multiplier, r.wedge) == r.wedge
+    with pytest.raises(ValueError, match="recorded exterior square"):
+        exterior_square(ab, derived, r.multiplier)
+    # the recorded value is returned as it is; validate judges it
+    got = verdicts_with(monkeypatch, "3", 5, wedge=[2, 2])
+    assert not got["wedge-order"].passed
+    # right order, but an element of order p^2 in an exponent-p group
+    got = verdicts_with(monkeypatch, "3", 5, wedge=[2, 2, 2])
+    assert got["wedge-order"].passed
+    assert not got["exponent-p-entries"].passed
 
 
 def test_tensor_square_composition():
     P = build("17", 5)
     r = expected_record("17", 5)
-    w = exterior_square(P, r.multiplier, expected=r.wedge)
-    t = tensor_square(P, w)
+    w = exterior_square(*types_of("17", 5), r.multiplier, r.wedge)
+    t = tensor_square(nabla(P), w)
     assert t.abelian_part == canon(direct_sum(nabla(P), w.abelian_part))
     assert t.e1_factor == w.e1_factor
     # |G (x) G| = |J2| * |G'|
     dt = expected_record("17", 5).derived
-    assert t.order_exponent == order_exponent(j2(P, r.multiplier)) + \
-        order_exponent(dt)
+    assert t.order_exponent == \
+        order_exponent(j2(nabla(P), r.multiplier)) + order_exponent(dt)
 
 
 def test_extraspecial_factor_propagates():
     r = expected_record("28", 5)
-    w = exterior_square(build("28", 5), r.multiplier, expected=r.wedge)
+    w = exterior_square(*types_of("28", 5), r.multiplier, r.wedge)
     assert w.e1_factor
-    assert tensor_square(build("28", 5), w).e1_factor
+    assert tensor_square(nabla(build("28", 5)), w).e1_factor
 
 
 def test_capability_reads_the_epicenter_column():
-    assert capability(expected_record("34", 5))
-    assert not capability(expected_record("35", 5))
+    assert expected_record("34", 5).capable
+    assert not expected_record("35", 5).capable
+    assert compute_record("34", 5).capable
 
 
 @pytest.mark.parametrize("fam", ["2", "13", "20", "28", "43", "65", "68"])
@@ -130,7 +151,7 @@ def test_tampered_expected_value_fails_with_erratum_note():
 def test_record_dict_shape():
     rec = compute_record("11,2", 5)
     validate(rec)
-    d = record_dict(rec)
+    d = rec.to_json_dict()
     assert d["family"] == "11,2"
     assert d["p"] == 5
     assert d["params"] == {"k": 2}
@@ -148,7 +169,7 @@ def test_record_dict_matches_published_schema():
     schema = json.loads(SCHEMA.read_text())
     rec = compute_record("5", 7)
     validate(rec)
-    d = record_dict(rec)
+    d = rec.to_json_dict()
     assert set(schema["required"]) <= set(d)
     for key in ("computed", "expected"):
         allowed = set(schema["properties"][key]["properties"])
