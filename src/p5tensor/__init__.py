@@ -6,6 +6,7 @@ seventy isomorphism families and their expected invariant tables.
 from .abelian import (
     AbelianType,
     EvenOrderUnsupported,
+    TensorStructure,
     canon,
     direct_sum,
     format_type,
@@ -62,7 +63,6 @@ from .families import (
 )
 from .invariants import (
     InvariantRecord,
-    TensorStructure,
     Verdict,
     compute_record,
     exterior_square,

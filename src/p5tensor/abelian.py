@@ -20,6 +20,7 @@ for gamma, order counting for the invariant-factor extraction).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 AbelianType = tuple  # non-increasing tuple of positive ints
@@ -310,6 +311,38 @@ def format_type(a: AbelianType, prime: int | None = None) -> str:
         pieces.append(base if run == 1 else f"{base}^{run}")
         i += run
     return " + ".join(pieces)
+
+
+@dataclass(frozen=True)
+class TensorStructure:
+    """A wedge or tensor square: abelian part, plus an optional
+    extraspecial factor of order p^3 and exponent p that two families
+    pick up."""
+
+    abelian_part: tuple
+    e1_factor: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "abelian_part", canon(self.abelian_part))
+
+    @property
+    def order_exponent(self):
+        return sum(self.abelian_part) + (3 if self.e1_factor else 0)
+
+    def format(self, prime=None):
+        body = format_type(self.abelian_part, prime=prime)
+        if not self.e1_factor:
+            return body
+        if body == "1":
+            return "E1"
+        return f"E1 x {body}"
+
+    def __str__(self):
+        return self.format()
+
+    def to_json_dict(self):
+        return {"abelian_part": list(self.abelian_part),
+                "e1_factor": bool(self.e1_factor)}
 
 
 if __name__ == "__main__":

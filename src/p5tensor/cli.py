@@ -20,16 +20,16 @@ _STRUCTURE_COLUMNS = ("row", "class", "multiplier", "center", "derived",
                       "ab", "nabla", "j2")
 _TENSOR_COLUMNS = ("row", "class", "multiplier", "wedge", "wedge_center",
                    "tensor", "tensor_center", "capable")
+_GROUP_COLUMNS = ("class", "exponent", "center", "derived", "ab",
+                  "multiplier", "nabla", "j2", "wedge", "tensor",
+                  "wedge center", "tensor center", "capable")
 
 
 def _table_rows(p, columns):
     """One dict per catalog row: column name -> recorded value."""
-    rows = []
-    for spec in families.list_families():
-        e = families.expected_record(spec, p)
-        rows.append({c: getattr(e, "cl" if c == "class" else c)
-                     for c in columns})
-    return rows
+    recorded = (families.expected_record(spec, p)
+                for spec in families.list_families())
+    return [{c: invariants.column(e, c) for c in columns} for e in recorded]
 
 
 def _text_cell(value, prime):
@@ -41,14 +41,6 @@ def _text_cell(value, prime):
     if isinstance(value, tuple):
         return format_type(value, prime=prime)
     return value.format(prime)
-
-
-def _json_cell(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, invariants.TensorStructure):
-        return value.to_json_dict()
-    return value
 
 
 def _print_aligned(columns, rows, out):
@@ -67,7 +59,7 @@ def cmd_table(args, out):
     rows = _table_rows(args.prime, columns)
     if args.format == "json":
         doc = {"prime": args.prime, "which": which,
-               "rows": [{c: _json_cell(v) for c, v in r.items()}
+               "rows": [{c: invariants.json_value(v) for c, v in r.items()}
                         for r in rows]}
         json.dump(doc, out, indent=1)
         out.write("\n")
@@ -105,12 +97,11 @@ def cmd_verify(args, out):
     p = args.prime
     seed = args.seed
     ok = True
-    print(f"verifying catalog at p = {p} (seed {seed})", file=out)
-
     if args.family:
         specs = [families.family_spec(args.family)]
     else:
         specs = list(families.list_families())
+    print(f"verifying catalog at p = {p} (seed {seed})", file=out)
     for spec in specs:
         ok = _verify_row(spec, p, out) and ok
 
@@ -130,21 +121,19 @@ def cmd_verify(args, out):
           f"  {len(conflicts)} conflicts", file=out)
 
     print("oracle spot checks:", file=out)
-    rep = oracles.gamma_relation_check(oracles.QuadraticModel((p,)),
-                                       trials=2000, seed=seed)
-    print(f"  quadratic map on Z_{p}: "
-          f"{'ok' if rep.ok else 'FAIL'} ({rep.checked} checks)", file=out)
-    ok = ok and rep.ok
-    rep = oracles.gamma_relation_check(
-        oracles.QuadraticModel((p * p, p)), trials=2000, seed=seed + 1)
-    print(f"  quadratic map on Z_{p * p} x Z_{p}: "
-          f"{'ok' if rep.ok else 'FAIL'} ({rep.checked} checks)", file=out)
-    ok = ok and rep.ok
-    rep = oracles.counting_vs_snf(trials=40, seed=seed + 2)
-    print(f"  census vs normal form: "
-          f"{'ok' if rep.ok else 'FAIL'} ({rep.checked} instances)",
-          file=out)
-    ok = ok and rep.ok
+    spot_checks = (
+        (f"quadratic map on Z_{p}", oracles.gamma_relation_check(
+            oracles.QuadraticModel((p,)), trials=2000, seed=seed), "checks"),
+        (f"quadratic map on Z_{p * p} x Z_{p}", oracles.gamma_relation_check(
+            oracles.QuadraticModel((p * p, p)), trials=2000, seed=seed + 1),
+         "checks"),
+        ("census vs normal form",
+         oracles.counting_vs_snf(trials=40, seed=seed + 2), "instances"),
+    )
+    for label, rep, unit in spot_checks:
+        print(f"  {label}: {'ok' if rep.ok else 'FAIL'} "
+              f"({rep.checked} {unit})", file=out)
+        ok = ok and rep.ok
 
     print("PASS" if ok else "FAIL", file=out)
     return 0 if ok else 1
@@ -162,11 +151,13 @@ def _parse_params(pairs):
 
 
 def cmd_group(args, out):
+    if args.format == "json" and args.show != "invariants":
+        raise families.BadParam(f"--format json applies to --show "
+                                f"invariants only, not --show {args.show}")
     params = _parse_params(args.param)
     p = args.prime
-    spec = families.family_spec(args.family)
-    P = families.build(spec, p, params)
-    resolved = families.expected_record(spec, p, params)
+    P = families.build(args.family, p, params)
+    resolved = families.expected_record(args.family, p, params)
     label = ", ".join(f"{k} = {v}" for k, v in resolved.params.items())
     header = f"family {resolved.row} at p = {p}"
     if label:
@@ -198,41 +189,24 @@ def cmd_group(args, out):
             print(f"  ... {remaining} more", file=out)
         return 0 if n == p ** 5 else 1
 
-    rec = invariants.compute_record(spec, p, params)
+    rec = invariants.compute_record(args.family, p, params)
     invariants.validate(rec)
     if args.format == "json":
         json.dump(rec.to_json_dict(), out, indent=1)
         out.write("\n")
         return 0 if rec.ok else 1
     sym = None if not args.numeric else p
-    pairs = (
-        ("class", str(rec.cl), str(rec.expected.cl)),
-        ("exponent", str(rec.exponent), "-"),
-        ("center", format_type(rec.center_type, prime=sym),
-         format_type(rec.expected.center, prime=sym)),
-        ("derived", format_type(rec.derived_type, prime=sym),
-         format_type(rec.expected.derived, prime=sym)),
-        ("ab", format_type(rec.ab_type, prime=sym),
-         format_type(rec.expected.ab, prime=sym)),
-        ("multiplier", format_type(rec.expected.multiplier, prime=sym),
-         "-"),
-        ("nabla", format_type(rec.nabla, prime=sym),
-         format_type(rec.expected.nabla, prime=sym)),
-        ("j2", format_type(rec.j2, prime=sym),
-         format_type(rec.expected.j2, prime=sym)),
-        ("wedge", rec.wedge.format(sym), rec.expected.wedge.format(sym)),
-        ("tensor", rec.tensor.format(sym), rec.expected.tensor.format(sym)),
-        ("wedge center", format_type(rec.expected.wedge_center, prime=sym),
-         "-"),
-        ("tensor center",
-         format_type(rec.expected.tensor_center, prime=sym), "-"),
-        ("capable", "yes" if rec.capable else "no", "-"),
-    )
-    width = max(len(name) for name, _, _ in pairs)
-    for name, computed, expected in pairs:
-        line = f"  {name.ljust(width)}  {computed}"
-        if expected != "-" and expected != computed:
-            line += f"  (expected {expected})"
+    width = max(len(name) for name in _GROUP_COLUMNS)
+    for name in _GROUP_COLUMNS:
+        expected = invariants.column(rec.expected, name, None)
+        computed = invariants.column(rec, name, None)
+        if computed is None:
+            # a recorded column: shown as recorded, with nothing to compare
+            computed, expected = expected, None
+        text = _text_cell(computed, sym)
+        line = f"  {name.ljust(width)}  {text}"
+        if expected is not None and _text_cell(expected, sym) != text:
+            line += f"  (expected {_text_cell(expected, sym)})"
         print(line, file=out)
     failed = [v for v in rec.verdicts if not v.passed]
     print(f"checks: {len(rec.verdicts) - len(failed)}/{len(rec.verdicts)} "

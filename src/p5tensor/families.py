@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
+from .abelian import TensorStructure
 from .pcgroup import PcPresentation, _is_prime, _require_consistent
 
 
@@ -174,22 +175,26 @@ def _build_cached(fid, p, param_items):
     params = dict(param_items)
     tmpl = _data()["families"][fid]
     w = primitive_root(p)
-    power_tails = {}
-    for i, tail in tmpl["powers"].items():
-        vec = [0] * 5
+
+    def vec(tail):
+        out = [0] * 5
         for g, ex in tail.items():
-            vec[int(g) - 1] = _eval_exp(ex, p, w, params)
-        power_tails[int(i)] = tuple(vec)
-    comm_tails = {}
-    for ji, tail in tmpl["comms"].items():
-        j, i = (int(x) for x in ji.split(","))
-        vec = [0] * 5
-        for g, ex in tail.items():
-            vec[int(g) - 1] = _eval_exp(ex, p, w, params)
-        comm_tails[(j, i)] = tuple(vec)
+            out[int(g) - 1] = _eval_exp(ex, p, w, params)
+        return tuple(out)
+
+    power_tails = {int(i): vec(t) for i, t in tmpl["powers"].items()}
+    comm_tails = {tuple(int(x) for x in ji.split(",")): vec(t)
+                  for ji, t in tmpl["comms"].items()}
     P = PcPresentation(p, power_tails, comm_tails)
     _require_consistent(P)
     return P
+
+
+def _resolve(family, p, params, extra):
+    """The family's spec and its parameter values at p, or BadParam."""
+    spec = family_spec(family)
+    _check_prime(p)
+    return spec, _resolve_params(spec, p, {**(params or {}), **extra})
 
 
 def build(family, p, params=None, **extra):
@@ -199,11 +204,7 @@ def build(family, p, params=None, **extra):
     InconsistentPresentation if the instantiated relations fail the
     overlap checks (which would indicate corrupted template data).
     """
-    spec = family_spec(family)
-    _check_prime(p)
-    merged = dict(params or {})
-    merged.update(extra)
-    vals = _resolve_params(spec, p, merged)
+    spec, vals = _resolve(family, p, params, extra)
     return _build_cached(spec.family, p, tuple(sorted(vals.items())))
 
 
@@ -212,9 +213,10 @@ class ExpectedRecord:
     """Catalog row values for one family at one prime.
 
     Partitions are stored as non-increasing tuples of prime exponents,
-    so (2, 1) at p = 5 means Z_25 + Z_5.  The wedge and tensor slots
-    carry a flag marking the extraspecial non-abelian factor of order
-    p^3 that two families acquire.
+    so (2, 1) at p = 5 means Z_25 + Z_5.  The wedge and tensor squares
+    are TensorStructures, which mark the extraspecial non-abelian factor
+    of order p^3 that two families acquire.  Fields shared with
+    `invariants.InvariantRecord` have the same names there.
     """
 
     row: str
@@ -227,23 +229,11 @@ class ExpectedRecord:
     ab: tuple
     nabla: tuple
     j2: tuple
-    wedge_parts: tuple
-    wedge_e1: bool
-    tensor_parts: tuple
-    tensor_e1: bool
+    wedge: TensorStructure
+    tensor: TensorStructure
     wedge_center: tuple
     tensor_center: tuple
     sources: dict = field(default_factory=dict)
-
-    @property
-    def wedge(self):
-        from .invariants import TensorStructure
-        return TensorStructure(self.wedge_parts, self.wedge_e1)
-
-    @property
-    def tensor(self):
-        from .invariants import TensorStructure
-        return TensorStructure(self.tensor_parts, self.tensor_e1)
 
     @property
     def capable(self):
@@ -281,19 +271,14 @@ def _row_for(spec, p, vals):
 
 def expected_record(family, p, params=None, **extra):
     """The expected invariant values for a family instantiated at p."""
-    spec = family_spec(family)
-    _check_prime(p)
-    merged = dict(params or {})
-    merged.update(extra)
-    vals = _resolve_params(spec, p, merged)
+    spec, vals = _resolve(family, p, params, extra)
     row_id = _row_for(spec, p, vals)
     row = _data()["rows"][row_id]
     sources = {f: "structure table" for f in _STRUCTURE_FIELDS}
     sources.update({f: "tensor table" for f in _TENSOR_FIELDS})
     for entry in errata():
-        fld = _ERRATUM_FIELD.get(entry.slug)
-        if fld and row_id in entry.rows:
-            sources[fld] += f" (see erratum {entry.slug})"
+        if entry.field and row_id in entry.rows:
+            sources[entry.field] += f" (see erratum {entry.slug})"
     return ExpectedRecord(
         row=row_id, p=p, params=vals,
         cl=row["class"],
@@ -303,10 +288,8 @@ def expected_record(family, p, params=None, **extra):
         ab=tuple(row["ab"]),
         nabla=tuple(row["nabla"]),
         j2=tuple(row["j2"]),
-        wedge_parts=tuple(row["wedge"]),
-        wedge_e1=row["wedge_e1"],
-        tensor_parts=tuple(row["tensor"]),
-        tensor_e1=row["tensor_e1"],
+        wedge=TensorStructure(row["wedge"], row["wedge_e1"]),
+        tensor=TensorStructure(row["tensor"], row["tensor_e1"]),
         wedge_center=tuple(row["wedge_center"]),
         tensor_center=tuple(row["tensor_center"]),
         sources=sources,
@@ -315,11 +298,15 @@ def expected_record(family, p, params=None, **extra):
 
 @dataclass(frozen=True)
 class ErratumEntry:
+    """One documented defect; `field` names the ExpectedRecord field it
+    touches, None for notes on the family ids."""
+
     slug: str
     rows: tuple
     sources: tuple
     description: str
     resolution: str
+    field: str | None = None
 
 
 @lru_cache(maxsize=1)
@@ -329,7 +316,8 @@ def errata():
         ErratumEntry(slug=e["slug"], rows=tuple(e["rows"]),
                      sources=tuple(e["sources"]),
                      description=e["description"],
-                     resolution=e["resolution"])
+                     resolution=e["resolution"],
+                     field=_ERRATUM_FIELD.get(e["slug"]))
         for e in _data()["errata"])
 
 

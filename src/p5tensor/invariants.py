@@ -9,6 +9,10 @@ recorded multiplier, and it reads the recorded exterior square when
 neither closed route applies (see `exterior_square`).  Recorded values
 are judged in one place only: `validate` compares the two sides and
 checks the order identities that tie the homological pieces together.
+
+A column of the paper's tables has one name on both sides: `column`
+reads it from an InvariantRecord or an ExpectedRecord, and `json_value`
+is the one conversion of a column value to JSON.
 """
 
 from __future__ import annotations
@@ -16,43 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import families
-from .abelian import (ab_from_presentation, canon, direct_sum, format_type,
-                      gamma, order_exponent)
-from .abelian import wedge_ab
+from .abelian import (TensorStructure, ab_from_presentation, canon,
+                      direct_sum, gamma, order_exponent, wedge_ab)
 from .pcgroup import (abelian_invariants_of, center, derived_subgroup,
                       exponent, nilpotency_class)
-
-
-@dataclass(frozen=True)
-class TensorStructure:
-    """A wedge or tensor square: abelian part, plus an optional
-    extraspecial factor of order p^3 and exponent p that two families
-    pick up."""
-
-    abelian_part: tuple
-    e1_factor: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "abelian_part", canon(self.abelian_part))
-
-    @property
-    def order_exponent(self):
-        return sum(self.abelian_part) + (3 if self.e1_factor else 0)
-
-    def format(self, prime=None):
-        body = format_type(self.abelian_part, prime=prime)
-        if not self.e1_factor:
-            return body
-        if body == "1":
-            return "E1"
-        return f"E1 x {body}"
-
-    def __str__(self):
-        return self.format()
-
-    def to_json_dict(self):
-        return {"abelian_part": list(self.abelian_part),
-                "e1_factor": bool(self.e1_factor)}
 
 
 def nabla(P):
@@ -104,6 +75,40 @@ def tensor_square(nab, wedge):
                            wedge.e1_factor)
 
 
+def _attribute(name):
+    """The record field behind a column name: "class" is `cl`, and a
+    space stands for an underscore ("wedge center" is `wedge_center`)."""
+    return "cl" if name == "class" else name.replace(" ", "_")
+
+
+def column(record, name, *default):
+    """A column of an InvariantRecord or an ExpectedRecord, by name; as
+    with getattr, a `default` answers for a column the record lacks."""
+    return getattr(record, _attribute(name), *default)
+
+
+def json_value(value):
+    """A column value as JSON: types become lists, squares objects."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, TensorStructure):
+        return value.to_json_dict()
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+# the keys of `to_json_dict`, in the order the published schema lists them
+_COMPUTED_KEYS = ("center", "derived", "ab", "class", "exponent", "nabla",
+                  "j2", "wedge", "tensor", "capable")
+_EXPECTED_KEYS = ("multiplier", "center", "derived", "ab", "class", "nabla",
+                  "j2", "wedge", "tensor", "wedge_center", "tensor_center",
+                  "sources")
+# the columns that the engine computes and the catalog records
+_STRUCTURAL = ("center", "derived", "ab", "class", "nabla", "j2", "wedge",
+               "tensor")
+
+
 @dataclass(frozen=True)
 class Verdict:
     check: str
@@ -117,14 +122,15 @@ class Verdict:
 
 @dataclass
 class InvariantRecord:
-    """Computed and expected invariants for one family at one prime."""
+    """Computed and expected invariants for one family at one prime.
+    A field shared with `expected` has the same name there."""
 
     family: str
     p: int
     params: dict
-    center_type: tuple
-    derived_type: tuple
-    ab_type: tuple
+    center: tuple
+    derived: tuple
+    ab: tuple
     cl: int
     exponent: int
     nabla: tuple
@@ -145,42 +151,16 @@ class InvariantRecord:
 
     def to_json_dict(self):
         """JSON-ready dict, matching schema/invariant_record.schema.json."""
-        e = self.expected
         return {
             "family": self.family,
             "p": self.p,
             "params": dict(self.params),
-            "computed": {
-                "center": list(self.center_type),
-                "derived": list(self.derived_type),
-                "ab": list(self.ab_type),
-                "class": self.cl,
-                "exponent": self.exponent,
-                "nabla": list(self.nabla),
-                "j2": list(self.j2),
-                "wedge": self.wedge.to_json_dict(),
-                "tensor": self.tensor.to_json_dict(),
-                "capable": self.capable,
-            },
-            "expected": {
-                "multiplier": list(e.multiplier),
-                "center": list(e.center),
-                "derived": list(e.derived),
-                "ab": list(e.ab),
-                "class": e.cl,
-                "nabla": list(e.nabla),
-                "j2": list(e.j2),
-                "wedge": e.wedge.to_json_dict(),
-                "tensor": e.tensor.to_json_dict(),
-                "wedge_center": list(e.wedge_center),
-                "tensor_center": list(e.tensor_center),
-                "sources": dict(e.sources),
-            },
-            "verdicts": [
-                {"check": v.check, "passed": v.passed, "detail": v.detail,
-                 "errata": list(v.errata)}
-                for v in self.verdicts
-            ],
+            "computed": {k: json_value(column(self, k))
+                         for k in _COMPUTED_KEYS},
+            "expected": {k: json_value(column(self.expected, k))
+                         for k in _EXPECTED_KEYS},
+            "verdicts": [dict(vars(v), errata=list(v.errata))
+                         for v in self.verdicts],
         }
 
 
@@ -192,14 +172,13 @@ def compute_record(family, p, params=None, **extra):
     P = families.build(family, p, params, **extra)
     ab = ab_from_presentation(P)
     nab = gamma(ab, prime=p)
-    derived_type = abelian_invariants_of(derived_subgroup(P), P)
-    wedge = exterior_square(ab, derived_type, expected.multiplier,
-                            expected.wedge)
+    derived = abelian_invariants_of(derived_subgroup(P), P)
+    wedge = exterior_square(ab, derived, expected.multiplier, expected.wedge)
     return InvariantRecord(
         family=expected.row, p=p, params=dict(expected.params),
-        center_type=abelian_invariants_of(center(P), P),
-        derived_type=derived_type,
-        ab_type=ab,
+        center=abelian_invariants_of(center(P), P),
+        derived=derived,
+        ab=ab,
         cl=nilpotency_class(P),
         exponent=exponent(P),
         nabla=nab,
@@ -210,24 +189,9 @@ def compute_record(family, p, params=None, **extra):
     )
 
 
-# expected-record field each check reads, for erratum cross-referencing
-_CHECK_FIELD = {
-    "center": "center", "derived": "derived", "ab": "ab", "class": "cl",
-    "nabla": "nabla", "j2": "j2", "wedge": "wedge", "tensor": "tensor",
-    "wedge-order": "wedge", "tensor-order-nabla": "tensor",
-    "tensor-order-j2": "tensor", "center-chain": "wedge_center",
-    "abelian-tensor-center": "tensor_center",
-    "exponent-p-entries": "tensor", "multiplier": "multiplier",
-}
-
-
-def _errata_slugs(row_id, check):
-    fld = _CHECK_FIELD.get(check)
-    out = []
-    for entry in families.errata_for(row_id):
-        if families._ERRATUM_FIELD.get(entry.slug) == fld:
-            out.append(entry.slug)
-    return tuple(out)
+def _errata_slugs(row_id, field):
+    return tuple(entry.slug for entry in families.errata_for(row_id)
+                 if entry.field == field)
 
 
 def validate(record):
@@ -244,64 +208,54 @@ def validate(record):
     p = record.p
     results = []
 
-    def add(check, passed, detail):
-        slugs = _errata_slugs(record.family, check) if not passed else ()
+    def add(check, field, passed, detail):
+        slugs = _errata_slugs(record.family, field) if not passed else ()
         results.append(Verdict(check=check, passed=bool(passed),
                                detail=detail, errata=slugs))
 
-    add("center", record.center_type == e.center,
-        f"computed {record.center_type}, expected {e.center}")
-    add("derived", record.derived_type == e.derived,
-        f"computed {record.derived_type}, expected {e.derived}")
-    add("ab", record.ab_type == e.ab,
-        f"computed {record.ab_type}, expected {e.ab}")
-    add("class", record.cl == e.cl,
-        f"computed {record.cl}, expected {e.cl}")
-    add("nabla", record.nabla == e.nabla,
-        f"computed {record.nabla}, expected {e.nabla}")
-    add("j2", record.j2 == e.j2,
-        f"computed {record.j2}, expected {e.j2}")
-    add("wedge", record.wedge == e.wedge,
-        f"computed {record.wedge}, expected {e.wedge}")
-    add("tensor", record.tensor == e.tensor,
-        f"computed {record.tensor}, expected {e.tensor}")
+    for name in _STRUCTURAL:
+        got, want = column(record, name), column(e, name)
+        add(name, _attribute(name), got == want,
+            f"computed {got}, expected {want}")
 
     wo = record.wedge.order_exponent
-    mo = sum(e.multiplier) + sum(record.derived_type)
-    add("wedge-order", wo == mo,
+    mo = sum(e.multiplier) + sum(record.derived)
+    add("wedge-order", "wedge", wo == mo,
         f"|wedge| = p^{wo}, |multiplier||derived| = p^{mo}")
     to = record.tensor.order_exponent
-    add("tensor-order-nabla", to == order_exponent(record.nabla) + wo,
-        f"|tensor| = p^{to}, |nabla||wedge| = "
-        f"p^{order_exponent(record.nabla) + wo}")
-    jo = order_exponent(record.j2) + sum(record.derived_type)
-    add("tensor-order-j2", to == jo,
+    no = order_exponent(record.nabla) + wo
+    add("tensor-order-nabla", "tensor", to == no,
+        f"|tensor| = p^{to}, |nabla||wedge| = p^{no}")
+    jo = order_exponent(record.j2) + sum(record.derived)
+    add("tensor-order-j2", "tensor", to == jo,
         f"|tensor| = p^{to}, |j2||derived| = p^{jo}")
 
     zt, zw = sum(e.tensor_center), sum(e.wedge_center)
-    zc = sum(record.center_type)
-    add("center-chain", zt <= zw <= zc,
+    zc = sum(record.center)
+    add("center-chain", "wedge_center", zt <= zw <= zc,
         f"|tensor center| = p^{zt}, |exterior center| = p^{zw}, "
         f"|center| = p^{zc}")
-    if record.derived_type == ():
-        add("abelian-tensor-center", e.tensor_center == (),
+    if record.derived == ():
+        add("abelian-tensor-center", "tensor_center", e.tensor_center == (),
             f"abelian group, tensor center expected trivial, "
             f"recorded {e.tensor_center}")
     else:
-        add("abelian-tensor-center", True, "not abelian; vacuous")
+        add("abelian-tensor-center", "tensor_center", True,
+            "not abelian; vacuous")
     if record.exponent == p:
         flat = all(x == 1 for x in record.tensor.abelian_part)
-        add("exponent-p-entries", flat,
+        add("exponent-p-entries", "tensor", flat,
             f"group exponent {p}, tensor {record.tensor}")
     else:
-        add("exponent-p-entries", True,
+        add("exponent-p-entries", "tensor", True,
             f"group exponent {record.exponent}; vacuous")
-    if record.derived_type == ():
-        add("multiplier", e.multiplier == record.wedge.abelian_part,
+    if record.derived == ():
+        add("multiplier", "multiplier",
+            e.multiplier == record.wedge.abelian_part,
             f"abelian group, recorded multiplier {e.multiplier}, "
             f"exterior square {record.wedge.abelian_part}")
     else:
-        add("multiplier", True, "not abelian; vacuous")
+        add("multiplier", "multiplier", True, "not abelian; vacuous")
 
     record.verdicts = results
     return results

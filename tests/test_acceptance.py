@@ -119,13 +119,14 @@ def test_criterion_5_multiplier_free_routes(records, capsys):
             rec = records(row, p)
             if rec.expected.multiplier != ():
                 bad.append((row, p, "multiplier not trivial"))
-            if rec.derived_type != rec.expected.wedge_parts \
-                    or rec.expected.wedge_e1:
+            if rec.derived != rec.expected.wedge.abelian_part \
+                    or rec.expected.wedge.e1_factor:
                 bad.append((row, p, "wedge is not the derived type"))
         for row in ABELIAN_ROWS:
             rec = records(row, p)
-            w = wedge_ab(rec.ab_type)
-            if not (w == rec.expected.wedge_parts == rec.expected.multiplier):
+            w = wedge_ab(rec.ab)
+            if not (w == rec.expected.wedge.abelian_part
+                    == rec.expected.multiplier):
                 bad.append((row, p, "wedge_ab disagrees", w))
     report(capsys, 5, "multiplier-free and abelian wedge routes", not bad,
            f"{len(TRIVIAL_MULTIPLIER_ROWS)} + {len(ABELIAN_ROWS)} rows"

@@ -110,6 +110,23 @@ def test_unknown_family_is_a_usage_error(capsys):
     assert "99" in err
 
 
+@pytest.mark.parametrize("show", ("presentation", "elements"))
+def test_group_json_is_only_for_invariants(capsys, show):
+    # json output must parse on its own, so plain-text views refuse it
+    rc, out, err = run(capsys, "group", "--family", "9", "--prime", "5",
+                       "--show", show, "--format", "json")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"--show {show}" in err
+
+
+def test_verify_unknown_family_prints_nothing_first(capsys):
+    rc, out, err = run(capsys, "verify", "--prime", "5", "--family", "99")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: unknown family '99'\n"
+
+
 def test_errata_listing(capsys):
     rc, out, _ = run(capsys, "errata")
     assert rc == 0

@@ -92,20 +92,20 @@ def test_expected_record_spot_values():
     assert r13.multiplier == (2,)
     assert r13.j2 == (3, 2, 2, 2)
     r25 = expected_record("25", 7)
-    assert r25.wedge_parts == (2,)
-    assert r25.tensor_parts == (3, 2, 1, 1)
+    assert r25.wedge.abelian_part == (2,)
+    assert r25.tensor.abelian_part == (3, 2, 1, 1)
     r3 = expected_record("3", 5)
-    assert r3.tensor_parts == (1,) * 9 and not r3.tensor_e1
+    assert r3.tensor.abelian_part == (1,) * 9 and not r3.tensor.e1_factor
     r64 = expected_record("64", 5)
     assert r64.multiplier == (1,) * 7
-    assert r64.wedge_parts == (1,) * 8
+    assert r64.wedge.abelian_part == (1,) * 8
 
 
 def test_extraspecial_factor_flag():
     r = expected_record("28", 5)
-    assert r.wedge_e1 and r.tensor_e1
+    assert r.wedge.e1_factor and r.tensor.e1_factor
     # the nonabelian factor accounts for three exponent units
-    assert r.wedge.order_exponent == len(r.wedge_parts) + 3
+    assert r.wedge.order_exponent == len(r.wedge.abelian_part) + 3
 
 
 def test_capability_flag():

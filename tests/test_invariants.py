@@ -86,7 +86,7 @@ def test_exterior_square_abelian_route(monkeypatch):
 def test_exterior_square_trivial_multiplier_route():
     ab, derived = types_of("24", 5)
     w = exterior_square(ab, derived, ())
-    assert w.abelian_part == expected_record("24", 5).wedge_parts
+    assert w.abelian_part == expected_record("24", 5).wedge.abelian_part
     assert not w.e1_factor
 
 
@@ -148,6 +148,35 @@ def test_tampered_expected_value_fails_with_erratum_note():
     assert not rec.ok
 
 
+def test_tampered_class_names_the_class_erratum():
+    # the "class" column is the field `cl`, which the erratum names
+    rec = compute_record("65", 5)
+    rec.expected = dataclasses.replace(rec.expected, cl=rec.cl + 1)
+    validate(rec)
+    failed = [v for v in rec.verdicts if not v.passed]
+    assert [v.check for v in failed] == ["class"]
+    assert failed[0].errata == ("class-column-65-69",)
+    assert failed[0].detail == f"computed {rec.cl}, expected {rec.cl + 1}"
+
+
+def test_a_column_has_one_name_on_both_records():
+    rec = compute_record("28", 5)
+    e = rec.expected
+    for name in ("center", "derived", "ab", "class", "nabla", "j2",
+                 "wedge", "tensor", "capable"):
+        assert invariants.column(rec, name) == invariants.column(e, name)
+    assert invariants.column(rec, "class") == rec.cl
+    assert invariants.column(e, "wedge center") \
+        == invariants.column(e, "wedge_center") == e.wedge_center
+    assert invariants.column(rec, "exponent") == rec.exponent
+    assert invariants.column(e, "exponent", None) is None
+    assert invariants.column(rec, "multiplier", None) is None
+    with pytest.raises(AttributeError):
+        invariants.column(rec, "multiplier")
+    assert invariants.json_value(e.wedge) == e.wedge.to_json_dict()
+    assert invariants.json_value((2, 1)) == [2, 1]
+
+
 def test_record_dict_shape():
     rec = compute_record("11,2", 5)
     validate(rec)
@@ -174,6 +203,41 @@ def test_record_dict_matches_published_schema():
     for key in ("computed", "expected"):
         allowed = set(schema["properties"][key]["properties"])
         assert set(d[key]) <= allowed
+
+
+def test_generated_json_validates_against_the_schema(capsys, monkeypatch):
+    import jsonschema
+    from p5tensor.cli import main
+
+    schema = json.loads(SCHEMA.read_text())
+    validator = jsonschema.Draft7Validator(schema)
+    validator.check_schema(schema)
+
+    def check(doc):
+        validator.validate(doc)
+        # key order is the schema's, which keeps the output stable
+        assert list(doc) == schema["required"]
+        for key in ("computed", "expected"):
+            assert list(doc[key]) == schema["properties"][key]["required"]
+
+    for spec in list_families():
+        rec = compute_record(spec.id, 5)
+        validate(rec)
+        check(rec.to_json_dict())
+    # failing verdicts, one of them with an erratum note
+    rows = families._data()["rows"]
+    monkeypatch.setitem(rows["3"], "wedge", [1, 1, 1, 1, 1])
+    monkeypatch.setitem(rows["68"], "center", [3])
+    for row, failing, errata in (
+            ("3", ["tensor", "wedge-order", "tensor-order-j2"], []),
+            ("68", ["center"], ["center-type-68"])):
+        assert main(["group", "--family", row, "--prime", "5",
+                     "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        check(doc)
+        failed = [v for v in doc["verdicts"] if not v["passed"]]
+        assert [v["check"] for v in failed] == failing
+        assert failed[0]["errata"] == errata
 
 
 def test_every_row_passes_at_a_large_prime():
