@@ -156,8 +156,12 @@ def cmd_group(args, out):
                                 f"invariants only, not --show {args.show}")
     params = _parse_params(args.param)
     p = args.prime
-    P = families.build(args.family, p, params)
-    resolved = families.expected_record(args.family, p, params)
+    if args.show == "invariants":
+        rec = invariants.compute_record(args.family, p, params)
+        resolved = rec.expected
+    else:
+        P = families.build(args.family, p, params)
+        resolved = families.expected_record(args.family, p, params)
     label = ", ".join(f"{k} = {v}" for k, v in resolved.params.items())
     header = f"family {resolved.row} at p = {p}"
     if label:
@@ -189,7 +193,6 @@ def cmd_group(args, out):
             print(f"  ... {remaining} more", file=out)
         return 0 if n == p ** 5 else 1
 
-    rec = invariants.compute_record(args.family, p, params)
     invariants.validate(rec)
     if args.format == "json":
         json.dump(rec.to_json_dict(), out, indent=1)

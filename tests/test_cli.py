@@ -97,6 +97,22 @@ def test_group_parameter_does_not_move_the_types(capsys):
     assert docs[0] == docs[1]
 
 
+def test_group_resolves_the_row_once(capsys, monkeypatch):
+    # the header reads the row and parameters off the computed record
+    calls = []
+    recorded = families.expected_record
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return recorded(*args, **kwargs)
+
+    monkeypatch.setattr(families, "expected_record", counted)
+    rc, out, _ = run(capsys, "group", "--family", "14", "--prime", "7")
+    assert rc == 0
+    assert out.startswith("family 14 at p = 7\n")
+    assert len(calls) == 1
+
+
 def test_group_rejects_malformed_param(capsys):
     rc, _, err = run(capsys, "group", "--family", "29", "--prime", "5",
                      "--param", "oops")
@@ -204,7 +220,7 @@ def test_group_reports_a_row_that_breaks_an_identity(capsys, monkeypatch):
                       "  FAIL tensor-order-j2"]
 
 
-@pytest.mark.parametrize("p", (11, 13, 59, 101))
+@pytest.mark.parametrize("p", (11, 13, 59, 101, 1009))
 def test_verify_at_more_primes(capsys, p):
     rc, out, _ = run(capsys, "verify", "--prime", str(p))
     assert rc == 0

@@ -411,29 +411,47 @@ def test_element_operations_match_the_oracle_tables(p):
                 g.exps_of(g.mult_idx(ab, int(inv[a]))), (row, params)
 
 
-@pytest.mark.parametrize("p", (5, 7))
-def test_conjugate_memo_matches_the_tables(p):
+@pytest.mark.parametrize("p, fresh", (
+    pytest.param(5, False, id="5"), pytest.param(7, False, id="7"),
+    pytest.param(5, True, id="5-fresh"), pytest.param(7, True, id="7-fresh")))
+def test_conjugate_memo_matches_the_tables(p, fresh):
     # conj[j][m][e][c] against g_j^-e g_m^c g_j^e: the table conj[j]
-    # applied e times to g_m^c, for every entry
+    # applied e times to g_m^c, for every entry.  `fresh` asks a new
+    # presentation, whose memo is empty, for the entries from e = p - 1
+    # down, so each entry is checked as the recursion first builds it
     entries = 0
     for row, params in groups_at(p):
         P = build(row, p, params)
         g = TableGroup(P)
+        if fresh:
+            P = PcPresentation(p, P.power_tails, P.comm_tails)
         memo = _collect_ctx(P)[1]
         for j in range(1, 5):
             for m in range(j + 1, 6):
-                x = np.arange(1, p) * g.strides[m - 1]
+                x = [np.arange(1, p) * g.strides[m - 1]]
                 for e in range(1, p):
-                    x = g.conj[j][x]
+                    x.append(g.conj[j][x[-1]])
+                for e in range(p - 1, 0, -1) if fresh else range(1, p):
                     for c in range(1, p):
                         syl = memo[j][m][e][c] or _conjugate(P, j, m, e, c)
                         got = [0, 0, 0, 0, 0]
                         for l, v in syl:
                             got[l - 1] = v
-                        assert tuple(got) == g.exps_of(x[c - 1]), \
+                        assert tuple(got) == g.exps_of(x[e][c - 1]), \
                             (row, params, j, m, e, c)
                         entries += 1
     assert entries == len(groups_at(p)) * 10 * (p - 1)**2
+
+
+def test_conjugate_memo_of_one_row_stays_small_at_p1009():
+    # phi_e = phi_(e-h) o phi_h: an entry rests on O(log p) others, so
+    # the consistency triples of row 59, which need the conjugates by
+    # g_j^(p-1), allocate few memo rows of p slots
+    P = build("59", 1009)
+    memo = _collect_ctx(P)[1]
+    rows = sum(type(r) is list for j in range(1, 6)
+               for m in range(j + 1, 6) for r in memo[j][m])
+    assert rows <= 200
 
 
 @pytest.mark.parametrize("p", (5, 7))
