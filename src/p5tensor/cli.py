@@ -12,7 +12,8 @@ import sys
 
 from . import families, invariants, oracles
 from .abelian import format_type
-from .pcgroup import InconsistentPresentation, generator, subgroup_closure
+from .pcgroup import (InconsistentPresentation, generator, subgroup_closure,
+                      word)
 
 DEFAULT_SEED = 1105
 
@@ -101,6 +102,7 @@ def cmd_verify(args, out):
         specs = [families.family_spec(args.family)]
     else:
         specs = list(families.list_families())
+    families.check_prime(p)
     print(f"verifying catalog at p = {p} (seed {seed})", file=out)
     for spec in specs:
         ok = _verify_row(spec, p, out) and ok
@@ -185,9 +187,7 @@ def cmd_group(args, out):
         sample = list(itertools.islice(
             itertools.product(range(p), repeat=5), 8))
         for el in sample:
-            word = " ".join(f"g{i + 1}^{e}" if e > 1 else f"g{i + 1}"
-                            for i, e in enumerate(el) if e) or "1"
-            print(f"  {el} = {word}", file=out)
+            print(f"  {el} = {word(el)}", file=out)
         remaining = n - len(sample)
         if remaining > 0:
             print(f"  ... {remaining} more", file=out)

@@ -1,12 +1,13 @@
 """Catalog of the presentation families of groups of order dividing p^5.
 
-Seventy families cover every isomorphism type for p > 3; four of them
-split into two table rows apiece depending on whether the parameter k
-equals (p-1)/2, giving 72 rows in all.  Each row carries the relation
-template of its family plus the expected values of every invariant this
-package computes.  The raw index listings that assign multipliers and
-exterior centers family-by-family are kept verbatim, defects included,
-so the conflict scanner can rediscover each documented erratum.
+Seventy families cover every isomorphism type for p > 3; two of them,
+11 and 48, split into two table rows apiece depending on whether the
+parameter k equals (p-1)/2, giving 72 rows in all.  Each row carries
+the relation template of its family plus the expected values of every
+invariant this package computes.  The raw index listings that assign
+multipliers and exterior centers family-by-family are kept verbatim,
+defects included, so the conflict scanner can rediscover each
+documented erratum.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def primitive_root(p):
     raise AssertionError("no primitive root below p")
 
 
-def _check_prime(p):
+def check_prime(p):
+    """Raise BadParam unless p is a prime greater than 3."""
     if not isinstance(p, int) or p <= 3 or not _is_prime(p):
         raise BadParam(f"p must be a prime greater than 3, got {p!r}")
 
@@ -190,21 +192,21 @@ def _build_cached(fid, p, param_items):
     return P
 
 
-def _resolve(family, p, params, extra):
+def _resolve(family, p, params):
     """The family's spec and its parameter values at p, or BadParam."""
     spec = family_spec(family)
-    _check_prime(p)
-    return spec, _resolve_params(spec, p, {**(params or {}), **extra})
+    check_prime(p)
+    return spec, _resolve_params(spec, p, params)
 
 
-def build(family, p, params=None, **extra):
+def build(family, p, params=None):
     """Instantiate a family at the prime p with resolved parameters.
 
     Raises BadParam for a bad id, prime, or parameter value, and
     InconsistentPresentation if the instantiated relations fail the
     overlap checks (which would indicate corrupted template data).
     """
-    spec, vals = _resolve(family, p, params, extra)
+    spec, vals = _resolve(family, p, params)
     return _build_cached(spec.family, p, tuple(sorted(vals.items())))
 
 
@@ -269,9 +271,9 @@ def _row_for(spec, p, vals):
     return f"{spec.family},{2 if vals.get('k') == half else 1}"
 
 
-def expected_record(family, p, params=None, **extra):
+def expected_record(family, p, params=None):
     """The expected invariant values for a family instantiated at p."""
-    spec, vals = _resolve(family, p, params, extra)
+    spec, vals = _resolve(family, p, params)
     row_id = _row_for(spec, p, vals)
     row = _data()["rows"][row_id]
     sources = {f: "structure table" for f in _STRUCTURE_FIELDS}

@@ -164,12 +164,12 @@ class InvariantRecord:
         }
 
 
-def compute_record(family, p, params=None, **extra):
+def compute_record(family, p, params=None):
     """Build the group, compute every invariant, and attach the catalog
     expectations (validation is a separate step).  Each invariant is
     computed once: G^ab and G' feed nabla, j2 and both squares."""
-    expected = families.expected_record(family, p, params, **extra)
-    P = families.build(family, p, params, **extra)
+    expected = families.expected_record(family, p, params)
+    P = families.build(family, p, params)
     ab = ab_from_presentation(P)
     nab = gamma(ab, prime=p)
     derived = abelian_invariants_of(derived_subgroup(P), P)

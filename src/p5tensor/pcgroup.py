@@ -23,15 +23,20 @@ g_j^-e g_m^c g_j^e in normal form.  Conjugation by g_j^e is an
 automorphism phi_e of <g_(j+1), ...>, and phi_e = phi_(e-h) o phi_h, so
 an entry rests on O(log p) others (`_conjugate`), collected inside
 <g_(j+1), ...>, which reads only conjugates by higher generators: the
-memo fills itself without a cycle, few of its rows are allocated
-(`verify` at p = 1009 stays under 100 MB), and the work per syllable
-does not grow with p.
+memo fills itself without a cycle and the work per syllable does not
+grow with p.  Memory does: each allocated row keeps p slots, so the
+peak RSS of an in-process `verify` grows by about 60 KB per unit of p
+(71 MB at p = 1009, 208 MB at p = 4001, about 1.3 GB at p = 20011),
+and a prime near 10^5 needs several GB.
 
 The element operations (`multiply`, `inverse`, `conjugate`,
 `commutator`, `power`, `order_of`) run on the collector: a product
 collects the syllables of its right factor, inverses and commutators
 solve u x = w one exponent at a time, and powers square and multiply.
-Nothing of size p^5 is built, so no prime is too large.
+A negative power g_i^-n, 0 < n < p, in a word is the normal form
+g_i^(p-n) (g_i^p)^-1: the inverse of the power tail lies above g_i,
+and the five inverse tails are solved once per presentation.  Nothing
+of size p^5 is built.
 
 A subgroup is an induced pc sequence: at most five normal forms of
 distinct depths (the position of the first nonzero exponent), each with
@@ -57,9 +62,9 @@ on every element, and the pc sequences against the table's subgroups.
 
 Because collection is total, the closure of the generators always
 produces exactly p^5 normal forms; detecting a *bad* presentation is
-therefore the job of the consistency triples (the classical
+therefore the job of the 35 overlaps of `_overlaps` (the classical
 well-definedness conditions), not of element counting.  Every subgroup
-routine and element operation runs them first (the report is
+routine and element operation checks them first (the report is
 memoised), so a bad presentation raises InconsistentPresentation.
 """
 
@@ -71,12 +76,15 @@ Element = tuple  # 5 exponents, each in [0, p)
 
 IDENTITY: Element = (0, 0, 0, 0, 0)
 
+_GENS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+         (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+
 _PAIRS = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
           (5, 1), (5, 2), (5, 3), (5, 4))
 
 
 class InconsistentPresentation(Exception):
-    """The presentation fails a consistency triple (no group of order p^5)."""
+    """The presentation fails an overlap (no group of order p^5)."""
 
 
 class NotAbelian(Exception):
@@ -107,10 +115,16 @@ def _as_vec(value, prime: int) -> tuple:
     return vec
 
 
+def word(vec) -> str:
+    """A normal form as display text, "g1 g3^2" for (1, 0, 2, 0, 0)."""
+    return " ".join(f"g{m}^{e}" if e > 1 else f"g{m}"
+                    for m, e in enumerate(vec, 1) if e) or "1"
+
+
 def _stack(vec) -> list:
     """The syllables (generator, exponent) of a normal form, in stack
     order: the lowest generator last, so that it is popped first."""
-    return [(m, vec[m - 1]) for m in range(5, 0, -1) if vec[m - 1]]
+    return [(m, vec[m - 1]) for m in (5, 4, 3, 2, 1) if vec[m - 1]]
 
 
 class PcPresentation:
@@ -122,7 +136,7 @@ class PcPresentation:
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key",
-                 "_inv_powers", "_cctx", "_report", "_derived",
+                 "_inv_tails", "_cctx", "_report", "_derived",
                  "_exponent")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
@@ -167,7 +181,7 @@ class PcPresentation:
         self.comm_tails = full
         self._key = (prime, self.power_tails,
                      tuple(full[pair] for pair in _PAIRS))
-        self._inv_powers = None
+        self._inv_tails = None
         self._cctx = None
         self._report = None
         self._derived = None
@@ -188,18 +202,6 @@ class PcPresentation:
 
     def relations_text(self) -> list:
         """Nontrivial relations as display strings, commutators first."""
-
-        def word(vec):
-            if not any(vec):
-                return "1"
-            parts = []
-            for m in range(5):
-                if vec[m] == 1:
-                    parts.append(f"g{m+1}")
-                elif vec[m]:
-                    parts.append(f"g{m+1}^{vec[m]}")
-            return " ".join(parts)
-
         lines = []
         for (j, i) in _PAIRS:
             vec = self.comm_tails[(j, i)]
@@ -279,6 +281,13 @@ def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
     return rows[e][c]
 
 
+def _mul(a: Element, b: Element, P: PcPresentation) -> Element:
+    """a b, by collecting the syllables of b into a."""
+    out = list(a)
+    _collect_into(out, _stack(b), P)
+    return tuple(out)
+
+
 def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
     """Absorb the syllables on `stack` (top = next) into normal form `out`.
 
@@ -322,21 +331,18 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
 
 
 def _gen_power(P: PcPresentation, i: int, n: int) -> list:
-    """The syllables of g_i^n.  The inverse powers g_i^-e, 0 < e < p, are
-    solved once from g_i^e x = 1 and memoised; other exponents square
-    and multiply, with n taken modulo p^5."""
+    """The syllables of g_i^n.  For -p < n < 0 that is the normal form
+    g_i^(p+n) (g_i^p)^-1, since the inverse of the power tail lies above
+    g_i; the five inverse tails are solved once per presentation.  Other
+    exponents square and multiply, with n taken modulo p^5."""
     p = P.prime
     if 0 < n < p:
         return [(i, n)]
     if -p < n < 0:
-        if P._inv_powers is None:
-            P._inv_powers = [None] + [[None] * p for _ in range(5)]
-        memo = P._inv_powers[i]
-        if memo[-n] is None:
-            u = [0, 0, 0, 0, 0]
-            u[i - 1] = -n
-            memo[-n] = _stack(_solve(u, IDENTITY, P))
-        return memo[-n]
+        if P._inv_tails is None:
+            P._inv_tails = [_stack(_solve(t, IDENTITY, P))
+                            for t in P.power_tails]
+        return P._inv_tails[i - 1] + [(i, p + n)]
     return _stack(_pow(generator(i), n % p**5, P))
 
 
@@ -383,60 +389,45 @@ class ConsistencyReport:
                f"{self.failures[0]} ...)"
 
 
-def consistency_check(P: PcPresentation) -> ConsistencyReport:
-    """Evaluate the classical consistency triples for relative order p.
+# the overlaps by generator indices, their labels formatted once
+_TRIPLES = tuple((f"g{k}(g{j} g{i}) != (g{k} g{j})g{i}", k, j, i)
+                 for k in range(3, 6) for j in range(2, k)
+                 for i in range(1, j))
+_POWER_PAIRS = tuple((f"g{j}^p g{i} != g{j}^(p-1)(g{j} g{i})",
+                      f"g{j} g{i}^p != (g{j} g{i})g{i}^(p-1)", j, i)
+                     for j, i in _PAIRS)
+_POWERS = tuple((f"g{i}^p g{i} != g{i} g{i}^p", i) for i in range(1, 6))
 
-    For k > j > i the two collection orders of g_k g_j g_i must agree,
-    and the power relations must commute with the swaps:
-    g_j^p g_i = g_j^(p-1) (g_j g_i), g_j g_i^p = (g_j g_i) g_i^(p-1),
-    g_i^p g_i = g_i g_i^p.  The report lists every failing word pair;
-    it is computed once per presentation.
+
+def _overlaps(P: PcPresentation):
+    """The 35 overlaps of the consistency test, as (label, left, right):
+    two collections of one word that agree in a consistent presentation.
+
+    For k > j > i the triples g_k (g_j g_i) = (g_k g_j) g_i; for each
+    pair j > i, g_j^p g_i = g_j^(p-1) (g_j g_i) and
+    g_j g_i^p = (g_j g_i) g_i^(p-1); and g_i^p g_i = g_i g_i^p.  Each
+    side is a product of normal forms, with g_j g_i collected once.
     """
-    if P._report is not None:
-        return P._report
-    p = P.prime
+    g = (None,) + _GENS
+    tails = (None,) + P.power_tails
+    last = (None,) + tuple(tuple((P.prime - 1) * e for e in x) for x in _GENS)
+    swap = {(j, i): _mul(g[j], g[i], P) for j, i in _PAIRS}
+    for label, k, j, i in _TRIPLES:
+        yield label, _mul(g[k], swap[j, i], P), _mul(swap[k, j], g[i], P)
+    for label_j, label_i, j, i in _POWER_PAIRS:
+        yield label_j, _mul(tails[j], g[i], P), _mul(last[j], swap[j, i], P)
+        yield label_i, _mul(g[j], tails[i], P), _mul(swap[j, i], last[i], P)
+    for label, i in _POWERS:
+        yield label, _mul(tails[i], g[i], P), _mul(g[i], tails[i], P)
 
-    def collect(word):
-        out = [0, 0, 0, 0, 0]
-        _collect_into(out, word[::-1], P)
-        return tuple(out)
 
-    def word(vec):
-        return _stack(vec)[::-1]
-
-    # g_j g_i, collected once per pair
-    swap = {(j, i): word(collect([(j, 1), (i, 1)])) for j, i in _PAIRS}
-    failures = []
-    for k in range(3, 6):
-        for j in range(2, k):
-            for i in range(1, j):
-                lhs = collect([(k, 1)] + swap[j, i])
-                rhs = collect(swap[k, j] + [(i, 1)])
-                if lhs != rhs:
-                    failures.append(
-                        f"overlap g{k}(g{j} g{i}) != (g{k} g{j})g{i}: "
-                        f"{lhs} vs {rhs}")
-    for j in range(2, 6):
-        for i in range(1, j):
-            lhs = collect(word(P.power_tails[j - 1]) + [(i, 1)])
-            rhs = collect([(j, p - 1)] + swap[j, i])
-            if lhs != rhs:
-                failures.append(
-                    f"overlap g{j}^p g{i} != g{j}^(p-1)(g{j} g{i}): "
-                    f"{lhs} vs {rhs}")
-            lhs = collect([(j, 1)] + word(P.power_tails[i - 1]))
-            rhs = collect(swap[j, i] + [(i, p - 1)])
-            if lhs != rhs:
-                failures.append(
-                    f"overlap g{j} g{i}^p != (g{j} g{i})g{i}^(p-1): "
-                    f"{lhs} vs {rhs}")
-    for i in range(1, 6):
-        lhs = collect(word(P.power_tails[i - 1]) + [(i, 1)])
-        rhs = collect([(i, 1)] + word(P.power_tails[i - 1]))
-        if lhs != rhs:
-            failures.append(
-                f"overlap g{i}^p g{i} != g{i} g{i}^p: {lhs} vs {rhs}")
-    P._report = ConsistencyReport(failures)
+def consistency_check(P: PcPresentation) -> ConsistencyReport:
+    """The overlaps of `_overlaps` whose two sides differ, as failure
+    lines; computed once per presentation."""
+    if P._report is None:
+        P._report = ConsistencyReport(
+            f"overlap {label}: {x} vs {y}"
+            for label, x, y in _overlaps(P) if x != y)
     return P._report
 
 
@@ -448,18 +439,6 @@ def _require_consistent(P: PcPresentation) -> None:
 
 # ---------------------------------------------------------------------------
 # subgroups as induced pc sequences (collector route)
-
-_GENS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
-         (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
-
-
-def _mul(a: Element, b: Element, P: PcPresentation) -> Element:
-    """a b, by collecting the syllables of b into a."""
-    out = list(a)
-    _collect_into(out, [(m, b[m - 1]) for m in (5, 4, 3, 2, 1) if b[m - 1]],
-                  P)
-    return tuple(out)
-
 
 def _pow(x: Element, m: int, P: PcPresentation) -> Element:
     """x^m for m >= 0, by square-and-multiply."""

@@ -102,8 +102,8 @@ class LetterCollector:
 
 
 def letter_consistency_ok(P: PcPresentation) -> bool:
-    """The consistency triples of `consistency_check`, collected letter
-    by letter."""
+    """The 35 overlaps of `consistency_check`, collected letter by
+    letter."""
     p, collect = P.prime, LetterCollector(P).collect
     for k in range(3, 6):
         for j in range(2, k):

@@ -143,6 +143,14 @@ def test_verify_unknown_family_prints_nothing_first(capsys):
     assert err == "error: unknown family '99'\n"
 
 
+@pytest.mark.parametrize("prime", ("4", "2", "-7"))
+def test_verify_bad_prime_prints_nothing_first(capsys, prime):
+    rc, out, err = run(capsys, "verify", "--prime", prime)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: p must be a prime greater than 3, got {prime}\n"
+
+
 def test_errata_listing(capsys):
     rc, out, _ = run(capsys, "errata")
     assert rc == 0

@@ -72,6 +72,18 @@ def test_normalize_handles_negative_exponents():
     assert multiply(normalize([(1, -1)], P), g1, P) == IDENTITY
 
 
+@pytest.mark.parametrize("p", (5, 7))
+def test_negative_generator_powers_invert_the_powers(p):
+    # heisenberg() has trivial power tails; the catalog rows do not, so
+    # a wrong inverse tail shows here
+    for row in ALL_ROWS:
+        P = build(row, p)
+        for i in range(1, 6):
+            for n in range(1, p):
+                assert normalize([(i, -n)], P) == \
+                    inverse(power(generator(i), n, P), P), (row, i, n)
+
+
 def test_normal_form_is_fixed_point():
     P = build("14", P5)
     e = normalize([(2, 3), (1, 4), (3, 1)], P)
@@ -183,7 +195,11 @@ def test_consistency_catches_bad_power_tail():
                          comm_tails={(2, 1): (0, 0, 1, 0, 0)})
     rep = consistency_check(bad)
     assert not rep.ok
-    assert rep.failures
+    assert rep.failures == (
+        "overlap g2^p g1 != g2^(p-1)(g2 g1): "
+        "(1, 0, 0, 0, 0) vs (1, 0, 0, 1, 0)",
+        "overlap g2 g1^p != (g2 g1)g1^(p-1): "
+        "(0, 1, 0, 0, 0) vs (0, 1, 0, 1, 0)")
     with pytest.raises(InconsistentPresentation):
         center(bad)
 
