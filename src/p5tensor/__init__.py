@@ -21,7 +21,6 @@ from .abelian import (
 from .pcgroup import (
     Element,
     IDENTITY,
-    ConsistencyReport,
     InconsistentPresentation,
     NotAbelian,
     PcPresentation,
@@ -30,7 +29,6 @@ from .pcgroup import (
     center,
     commutator,
     conjugate,
-    consistency_check,
     derived_subgroup,
     exponent,
     generator,

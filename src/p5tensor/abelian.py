@@ -343,9 +343,3 @@ class TensorStructure:
     def to_json_dict(self):
         return {"abelian_part": list(self.abelian_part),
                 "e1_factor": bool(self.e1_factor)}
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod(verbose=True)

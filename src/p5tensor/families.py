@@ -18,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .abelian import TensorStructure
-from .pcgroup import PcPresentation, _is_prime, _require_consistent
+from .pcgroup import PcPresentation, _is_prime
 
 
 class BadParam(ValueError):
@@ -187,9 +187,7 @@ def _build_cached(fid, p, param_items):
     power_tails = {int(i): vec(t) for i, t in tmpl["powers"].items()}
     comm_tails = {tuple(int(x) for x in ji.split(",")): vec(t)
                   for ji, t in tmpl["comms"].items()}
-    P = PcPresentation(p, power_tails, comm_tails)
-    _require_consistent(P)
-    return P
+    return PcPresentation(p, power_tails, comm_tails)
 
 
 def _resolve(family, p, params):

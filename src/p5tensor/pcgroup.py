@@ -63,9 +63,9 @@ on every element, and the pc sequences against the table's subgroups.
 Because collection is total, the closure of the generators always
 produces exactly p^5 normal forms; detecting a *bad* presentation is
 therefore the job of the 35 overlaps of `_overlaps` (the classical
-well-definedness conditions), not of element counting.  Every subgroup
-routine and element operation checks them first (the report is
-memoised), so a bad presentation raises InconsistentPresentation.
+well-definedness conditions), not of element counting.  The constructor
+runs them once, and a presentation that fails one raises
+InconsistentPresentation, so every PcPresentation is consistent.
 """
 
 from __future__ import annotations
@@ -84,11 +84,17 @@ _PAIRS = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
 
 
 class InconsistentPresentation(Exception):
-    """The presentation fails an overlap (no group of order p^5)."""
+    """The presentation fails an overlap (no group of order p^5).
+    `failures` holds one line per failing overlap; the message is the
+    first."""
+
+    def __init__(self, failures):
+        super().__init__(failures[0])
+        self.failures = tuple(failures)
 
 
 class NotAbelian(Exception):
-    """Abelian invariants were requested for a non-commuting element set."""
+    """Abelian invariants were requested for a non-abelian subgroup."""
 
 
 def _is_prime(n: int) -> bool:
@@ -133,11 +139,12 @@ class PcPresentation:
     `power_tails` may be a dict {i: vector} on 1-based generator indices
     or a full 5-sequence; `comm_tails` a dict {(j, i): vector} with j > i.
     Both accept length-5 exponent vectors; missing entries mean trivial.
+    Construction runs the overlaps of `_overlaps` and raises
+    InconsistentPresentation if any fails.
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key",
-                 "_inv_tails", "_cctx", "_report", "_derived",
-                 "_exponent")
+                 "_inv_tails", "_cctx", "_derived", "_exponent")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = int(prime)
@@ -148,7 +155,12 @@ class PcPresentation:
         if power_tails is None:
             power_tails = {}
         if isinstance(power_tails, dict):
-            pt = [_as_vec(power_tails.get(i + 1), prime) for i in range(5)]
+            pt = [IDENTITY] * 5
+            for i, v in power_tails.items():
+                i = int(i)
+                if not 1 <= i <= 5:
+                    raise ValueError(f"bad power tail index {i}")
+                pt[i - 1] = _as_vec(v, prime)
         else:
             seq = list(power_tails)
             if len(seq) != 5:
@@ -183,9 +195,12 @@ class PcPresentation:
                      tuple(full[pair] for pair in _PAIRS))
         self._inv_tails = None
         self._cctx = None
-        self._report = None
         self._derived = None
         self._exponent = None
+        failures = [f"overlap {label}: {x} vs {y}"
+                    for label, x, y in _overlaps(self) if x != y]
+        if failures:
+            raise InconsistentPresentation(failures)
 
     def __eq__(self, other):
         return isinstance(other, PcPresentation) and self._key == other._key
@@ -369,26 +384,6 @@ def normalize(word, P: PcPresentation) -> Element:
     return tuple(out)
 
 
-class ConsistencyReport:
-    __slots__ = ("failures",)
-
-    def __init__(self, failures):
-        self.failures = tuple(failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "ConsistencyReport(ok)"
-        return f"ConsistencyReport({len(self.failures)} failures: " \
-               f"{self.failures[0]} ...)"
-
-
 # the overlaps by generator indices, their labels formatted once
 _TRIPLES = tuple((f"g{k}(g{j} g{i}) != (g{k} g{j})g{i}", k, j, i)
                  for k in range(3, 6) for j in range(2, k)
@@ -419,22 +414,6 @@ def _overlaps(P: PcPresentation):
         yield label_i, _mul(g[j], tails[i], P), _mul(swap[j, i], last[i], P)
     for label, i in _POWERS:
         yield label, _mul(tails[i], g[i], P), _mul(g[i], tails[i], P)
-
-
-def consistency_check(P: PcPresentation) -> ConsistencyReport:
-    """The overlaps of `_overlaps` whose two sides differ, as failure
-    lines; computed once per presentation."""
-    if P._report is None:
-        P._report = ConsistencyReport(
-            f"overlap {label}: {x} vs {y}"
-            for label, x, y in _overlaps(P) if x != y)
-    return P._report
-
-
-def _require_consistent(P: PcPresentation) -> None:
-    report = consistency_check(P)
-    if not report.ok:
-        raise InconsistentPresentation(report.failures[0])
 
 
 # ---------------------------------------------------------------------------
@@ -624,32 +603,27 @@ class Subgroup:
 # public operations
 
 def multiply(a: Element, b: Element, P: PcPresentation) -> Element:
-    _require_consistent(P)
     return _mul(_as_vec(a, P.prime), _as_vec(b, P.prime), P)
 
 
 def inverse(a: Element, P: PcPresentation) -> Element:
-    _require_consistent(P)
     return _solve(_as_vec(a, P.prime), IDENTITY, P)
 
 
 def conjugate(a: Element, b: Element, P: PcPresentation) -> Element:
     """Left conjugation a b a^-1."""
-    _require_consistent(P)
     a, b = _as_vec(a, P.prime), _as_vec(b, P.prime)
     return _mul(_mul(a, b, P), _solve(a, IDENTITY, P), P)
 
 
 def commutator(a: Element, b: Element, P: PcPresentation) -> Element:
     """[a, b] = a^-1 b^-1 a b, solved from (b a) [a, b] = a b."""
-    _require_consistent(P)
     return _comm(_as_vec(a, P.prime), _as_vec(b, P.prime), P)
 
 
 def power(a: Element, n: int, P: PcPresentation) -> Element:
     """a^n; element orders divide p^5, so n counts modulo p^5, and past
     half of that a^n is the (p^5 - n)-th power of a^-1."""
-    _require_consistent(P)
     a, top = _as_vec(a, P.prime), P.prime**5
     n = int(n) % top
     if 2 * n > top:
@@ -666,7 +640,6 @@ def _order(x, P: PcPresentation) -> int:
 
 
 def order_of(a: Element, P: PcPresentation) -> int:
-    _require_consistent(P)
     return _order(_as_vec(a, P.prime), P)
 
 
@@ -677,24 +650,20 @@ def generator(i: int) -> Element:
 
 
 def subgroup_closure(gens, P: PcPresentation) -> Subgroup:
-    _require_consistent(P)
     return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P)[0])
 
 
 def normal_closure(gens, P: PcPresentation) -> Subgroup:
-    _require_consistent(P)
     return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P,
                                 normal=True)[0])
 
 
 def derived_subgroup(P: PcPresentation) -> Subgroup:
     """G': the normal closure of the commutator tails [g_j, g_i]."""
-    _require_consistent(P)
     return Subgroup(P, _derived(P)[0])
 
 
 def center(P: PcPresentation) -> Subgroup:
-    _require_consistent(P)
     return Subgroup(P, _center_seq(P))
 
 
@@ -702,7 +671,6 @@ def lower_central_series(P: PcPresentation) -> list:
     """G = gamma_1 > gamma_2 > ... > 1, with gamma_2 = G' and
     gamma_(c+1) the normal closure of the [s, g_i] over the sequence s
     of gamma_c: the lists that the normal closure of gamma_c computed."""
-    _require_consistent(P)
     seq, comms = _derived(P)
     series = [_GENS, seq]
     while seq:
@@ -724,35 +692,21 @@ def exponent(P: PcPresentation) -> int:
     p-group the elements of order dividing p^k form a subgroup, and exp G
     is the largest order among any generating set.  Memoised on P.
     """
-    _require_consistent(P)
     if P._exponent is None:
         P._exponent = max(_order(g, P) for g in _GENS)
     return P._exponent
 
 
-def abelian_invariants_of(elements, P: PcPresentation) -> AbelianType:
-    """Isomorphism type of an abelian subgroup, or of a closed abelian
-    element set, from the SNF of its relative power relations.
+def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
+    """Isomorphism type of an abelian subgroup, from the SNF of its
+    relative power relations.
 
     With s_j^p = prod_(l > j) s_l^c_l over the pc sequence s_1..s_m, the
     rows p e_j - c span the relations among the s_j: they lie in the
     relation lattice and their triangular matrix has determinant p^m,
     the order of the subgroup.
     """
-    _require_consistent(P)
-    p = P.prime
-    if isinstance(elements, Subgroup):
-        seq = elements.generators
-    else:
-        elems = [_as_vec(e, p) for e in elements]
-        distinct = set(elems)
-        if IDENTITY not in distinct:
-            raise ValueError("element set lacks the identity")
-        if len(distinct) < len(elems):
-            raise ValueError("element set repeats an element")
-        seq = _closure(elems, P)[0]
-        if p ** len(seq) != len(elems):
-            raise ValueError("set is not closed under multiplication")
+    p, seq = P.prime, H.generators
     # pairwise commuting generators span an abelian group
     for a, x in enumerate(seq):
         for y in seq[a + 1:]:

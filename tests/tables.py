@@ -14,7 +14,8 @@ refuses p > 13.
 
 `LetterCollector` collects one letter per unit of exponent, lifting with
 the single conjugates g_k [g_k, g_j]; `letter_consistency_ok` runs the
-consistency triples on it.
+consistency triples on it, from raw presentation data that need not
+define a group.
 """
 
 import numpy as np
@@ -23,12 +24,10 @@ from p5tensor.abelian import AbelianType, type_from_order_census
 from p5tensor.pcgroup import (
     IDENTITY,
     Element,
-    InconsistentPresentation,
     NotAbelian,
     PcPresentation,
     Subgroup,
     _collect_into,
-    _require_consistent,
 )
 
 # the largest group whose tables are built
@@ -58,7 +57,7 @@ class LetterCollector:
     product of the letters of g_k [g_k, g_j].
     """
 
-    def __init__(self, P: PcPresentation):
+    def __init__(self, P):
         self.pm1 = P.prime - 1
         # lift[j][k]: letters of g_j^-1 g_k g_j = g_k [g_k, g_j], reversed
         # for stack.extend; blockers[j]: the k > j with [g_k, g_j] != 1
@@ -101,9 +100,10 @@ class LetterCollector:
         return tuple(out)
 
 
-def letter_consistency_ok(P: PcPresentation) -> bool:
-    """The 35 overlaps of `consistency_check`, collected letter by
-    letter."""
+def letter_consistency_ok(P) -> bool:
+    """The 35 overlaps that the PcPresentation constructor runs, collected
+    letter by letter.  `P` needs only `prime`, the five `power_tails`
+    and the ten `comm_tails`, so it may be data that fails them."""
     p, collect = P.prime, LetterCollector(P).collect
     for k in range(3, 6):
         for j in range(2, k):
@@ -136,8 +136,8 @@ def _rmul1(P: PcPresentation, e: Element, j: int) -> Element:
 
 def enumerate_elements(P: PcPresentation) -> frozenset:
     """Closure of the generators under right multiplication (collector
-    route).  Returns all p^5 normal forms; anything else raises
-    InconsistentPresentation."""
+    route): all p^5 normal forms of a presentation, which the
+    constructor made sure is consistent."""
     seen = {IDENTITY}
     frontier = [IDENTITY]
     while frontier:
@@ -149,9 +149,8 @@ def enumerate_elements(P: PcPresentation) -> frozenset:
                     seen.add(y)
                     fresh.append(y)
         frontier = fresh
-    if len(seen) != P.prime**5:
-        raise InconsistentPresentation(
-            f"closure reached {len(seen)} elements, expected {P.prime**5}")
+    assert len(seen) == P.prime**5, \
+        f"closure reached {len(seen)} elements, expected {P.prime**5}"
     return frozenset(seen)
 
 
@@ -210,8 +209,8 @@ class TableGroup:
     """The table route of one presentation.
 
     Construction refuses a group whose p^5 elements exceed the table
-    limit, then runs the consistency triples and refuses a bad
-    presentation; the tables would silently build nonsense otherwise.
+    limit.  The presentation is consistent by construction; the tables
+    would silently build nonsense otherwise.
     R[j][x] = x g_j is one numpy int64 array per generator over the
     element indices sum e_i p^(5-i), filled in peel order by `_peel`.
     The lazy tables L[i][x] = g_i x, its inverse permutation
@@ -224,7 +223,6 @@ class TableGroup:
             raise GroupTooLarge(
                 f"p = {P.prime}: the {P.prime**5} elements of a group of "
                 f"order p^5 exceed the table limit of {TABLE_LIMIT}")
-        _require_consistent(P)
         self.P = P
         p = self.p = P.prime
         self.n = p**5

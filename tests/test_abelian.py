@@ -1,8 +1,11 @@
 """Partition calculus: canonical forms, functors, SNF, census recovery."""
 
+import doctest
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p5tensor import abelian
 from p5tensor.abelian import (
     EvenOrderUnsupported,
     ab_from_presentation,
@@ -164,3 +167,9 @@ def test_format_type_symbolic_and_numeric():
     assert format_type((2, 2, 1, 1, 1)) == "Z_{p^2}^2 + Z_p^3"
     assert format_type((2, 2, 1, 1, 1), prime=5) == "Z_25^2 + Z_5^3"
     assert format_type((1,), prime=7) == "Z_7"
+
+
+def test_docstring_examples():
+    result = doctest.testmod(abelian)
+    assert result.failed == 0
+    assert result.attempted == 21

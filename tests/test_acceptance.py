@@ -10,8 +10,8 @@ import json
 import time
 
 from p5tensor import (
+    InconsistentPresentation,
     build,
-    consistency_check,
     families,
     list_families,
     raw_index_conflicts,
@@ -60,10 +60,11 @@ def test_criterion_1_construction(collector_mismatches, capsys):
     groups += [(fam, 5, {"k": k}) for fam in ("11", "12", "48", "50")
                for k in (1, 2)]
     for row, p, params in groups:
-        P = build(row, p, params)
         where = f" at {params}" if params else ""
-        if not consistency_check(P).ok:
-            problems.append((row, p, "inconsistent" + where))
+        try:
+            P = build(row, p, params)
+        except InconsistentPresentation as exc:
+            problems.append((row, p, f"inconsistent{where}: {exc}"))
             continue
         bad = collector_mismatches(P)
         if bad:

@@ -193,6 +193,23 @@ def test_verify_flags_a_corrupted_table(capsys, monkeypatch):
     assert "row 5" in out and "FAIL" in out
 
 
+def test_group_refuses_a_corrupted_template(capsys, monkeypatch):
+    # g3^p = g4 beside [g2,g1] = g3 breaks the overlap g2^p g1
+    doc = copy.deepcopy(families._data())
+    doc["families"]["2"]["powers"]["3"] = {"4": "1"}
+    monkeypatch.setattr(families, "_data", lambda: doc)
+    families._build_cached.cache_clear()
+    try:
+        rc, out, err = run(capsys, "group", "--family", "2", "--prime", "5")
+    finally:
+        families._build_cached.cache_clear()
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: inconsistent presentation: overlap "
+                   "g2^p g1 != g2^(p-1)(g2 g1): "
+                   "(1, 0, 0, 0, 1) vs (1, 0, 0, 1, 1)\n")
+
+
 def test_no_arguments_shows_usage():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -6,7 +6,6 @@ import pytest
 from p5tensor import (
     BadParam,
     build,
-    consistency_check,
     epicenter_index_raw,
     errata,
     errata_for,
@@ -169,8 +168,9 @@ def test_conflict_scan_is_exact():
 
 
 def test_larger_prime_consistency():
+    # construction raises InconsistentPresentation on a failing overlap
     for row in ALL_ROWS:
-        assert consistency_check(build(row, 11)).ok, row
+        build(row, 11)
 
 
 @pytest.mark.slow

@@ -20,7 +20,6 @@ from p5tensor.pcgroup import (
     center,
     commutator,
     conjugate,
-    consistency_check,
     derived_subgroup,
     exponent,
     generator,
@@ -191,17 +190,24 @@ def test_enumerate_full_group():
 def test_consistency_catches_bad_power_tail():
     # [g2,g1] = g3 with g3^p = g4 forces g4 = 1 on collection of g2*g1^p,
     # so the presentation defines a smaller group
-    bad = PcPresentation(P5, power_tails={3: (0, 0, 0, 1, 0)},
-                         comm_tails={(2, 1): (0, 0, 1, 0, 0)})
-    rep = consistency_check(bad)
-    assert not rep.ok
-    assert rep.failures == (
+    with pytest.raises(InconsistentPresentation) as exc:
+        PcPresentation(P5, power_tails={3: (0, 0, 0, 1, 0)},
+                       comm_tails={(2, 1): (0, 0, 1, 0, 0)})
+    assert exc.value.failures == (
         "overlap g2^p g1 != g2^(p-1)(g2 g1): "
         "(1, 0, 0, 0, 0) vs (1, 0, 0, 1, 0)",
         "overlap g2 g1^p != (g2 g1)g1^(p-1): "
         "(0, 1, 0, 0, 0) vs (0, 1, 0, 1, 0)")
-    with pytest.raises(InconsistentPresentation):
-        center(bad)
+    assert str(exc.value) == exc.value.failures[0]
+
+
+def test_power_tail_keys_are_generator_indices():
+    v = (0, 0, 0, 1, 0)
+    for key in (0, 6):
+        with pytest.raises(ValueError, match=f"bad power tail index {key}"):
+            PcPresentation(P5, power_tails={key: (0, 0, 0, 0, 1)})
+    assert PcPresentation(P5, power_tails={"3": v}) == \
+        PcPresentation(P5, power_tails={3: v})
 
 
 def test_tables_stop_at_the_table_limit():
@@ -212,9 +218,10 @@ def test_tables_stop_at_the_table_limit():
 
 
 def perturbed(P, rng):
-    """P with one tail exponent changed: in the power tail of one of
-    g1..g4 or the tail of one [g_j, g_i] with j < 5, at a position above
-    g_i or g_j, to a new value."""
+    """The raw data of P with one tail exponent changed: in the power
+    tail of one of g1..g4 or the tail of one [g_j, g_i] with j < 5, at a
+    position above g_i or g_j, to a new value.  It may not define a
+    group, so it is not a PcPresentation."""
     p = P.prime
     power_tails, comm_tails = list(P.power_tails), dict(P.comm_tails)
     slots = [(power_tails, i - 1, i) for i in range(1, 5)] + \
@@ -224,7 +231,16 @@ def perturbed(P, rng):
     m = rng.randrange(low, 5)
     vec[m] = rng.choice([x for x in range(p) if x != vec[m]])
     tails[key] = tuple(vec)
-    return PcPresentation(p, power_tails, comm_tails)
+    return types.SimpleNamespace(prime=p, power_tails=power_tails,
+                                 comm_tails=comm_tails)
+
+
+def constructs(Q) -> bool:
+    try:
+        PcPresentation(Q.prime, Q.power_tails, Q.comm_tails)
+    except InconsistentPresentation:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -235,7 +251,7 @@ def test_consistency_verdict_matches_the_letter_collector(p):
         P = build(row, p)
         for _ in range(8):
             Q = perturbed(P, rng)
-            ok = consistency_check(Q).ok
+            ok = constructs(Q)
             assert ok == letter_consistency_ok(Q), (row, Q)
             verdicts.append(ok)
     # the sample holds both verdicts in number
@@ -243,8 +259,9 @@ def test_consistency_verdict_matches_the_letter_collector(p):
 
 
 def test_consistency_clean_on_good_presentations():
+    # construction raises on a failing overlap
     for fam in ("1", "9", "24", "40", "64"):
-        assert consistency_check(build(fam, P5)).ok
+        build(fam, P5)
 
 
 # --- subgroups, quotients, invariants --------------------------------------
@@ -292,27 +309,19 @@ def test_quotient_rejects_non_normal_subgroup():
         TableGroup(P).quotient(subgroup_closure([generator(1)], P))
 
 
+def whole_group(P):
+    return subgroup_closure([generator(i) for i in range(1, 6)], P)
+
+
 def test_census_of_full_abelian_group():
     P = build("13", P5)
-    assert abelian_invariants_of(enumerate_elements(P), P) == (3, 2)
+    assert abelian_invariants_of(whole_group(P), P) == (3, 2)
 
 
 def test_census_rejects_nonabelian_set():
     P = heisenberg()
     with pytest.raises(NotAbelian):
-        abelian_invariants_of(enumerate_elements(P), P)
-
-
-def test_census_rejects_unclosed_set():
-    P = heisenberg()
-    with pytest.raises(ValueError):
-        abelian_invariants_of([IDENTITY, generator(1)], P)
-    # closed as a set, but one element twice would double its count
-    g = TableGroup(P)
-    mask = as_mask(g, subgroup_closure([generator(3)], P))
-    z = [g.exps_of(x) for x in np.flatnonzero(mask)]
-    with pytest.raises(ValueError, match="repeats"):
-        abelian_invariants_of(z + [generator(3)], P)
+        abelian_invariants_of(whole_group(P), P)
 
 
 def test_center_type_worked_example():
@@ -440,7 +449,9 @@ def test_conjugate_memo_matches_the_tables(p, fresh):
         P = build(row, p, params)
         g = TableGroup(P)
         if fresh:
+            # the constructor's overlaps fill some entries; start empty
             P = PcPresentation(p, P.power_tails, P.comm_tails)
+            P._cctx = None
         memo = _collect_ctx(P)[1]
         for j in range(1, 5):
             for m in range(j + 1, 6):
