@@ -18,16 +18,16 @@ exponents; the identity is (0,0,0,0,0).
 The collector works on syllables g_j^e, 1 <= e < p.  A syllable that
 meets a part w of the normal form it does not commute with lifts w off
 and pushes the conjugate w^(g_j^e) back as syllables, read from a memo
-that each presentation fills on demand: conj[j][m][e][c] holds
-g_j^-e g_m^c g_j^e in normal form.  Conjugation by g_j^e is an
+that each presentation fills on demand: the dict entry (j, m, e, c)
+holds g_j^-e g_m^c g_j^e in normal form.  Conjugation by g_j^e is an
 automorphism phi_e of <g_(j+1), ...>, and phi_e = phi_(e-h) o phi_h, so
 an entry rests on O(log p) others (`_conjugate`), collected inside
 <g_(j+1), ...>, which reads only conjugates by higher generators: the
-memo fills itself without a cycle and the work per syllable does not
-grow with p.  Memory does: each allocated row keeps p slots, so the
-peak RSS of an in-process `verify` grows by about 60 KB per unit of p
-(71 MB at p = 1009, 208 MB at p = 4001, about 1.3 GB at p = 20011),
-and a prime near 10^5 needs several GB.
+memo fills itself without a cycle.  The work per syllable does not
+grow with p, and the memo holds only the entries that collection
+reaches (the overlaps of row 59 fill 488 at p = 1009 and 2147 at
+p = 100003), so an in-process `verify` peaks at 54 MB at p = 20011 and
+66 MB at p = 100003 (Python 3.11, x86_64).
 
 The element operations (`multiply`, `inverse`, `conjugate`,
 `commutator`, `power`, `order_of`) run on the collector: a product
@@ -70,6 +70,8 @@ InconsistentPresentation, so every PcPresentation is consistent.
 
 from __future__ import annotations
 
+import operator
+
 from .abelian import AbelianType, p_type_from_factors, snf
 
 Element = tuple  # 5 exponents, each in [0, p)
@@ -111,7 +113,11 @@ def _is_prime(n: int) -> bool:
 def _as_vec(value, prime: int) -> tuple:
     if value is None:
         return IDENTITY
-    vec = tuple(map(int, value))
+    try:
+        vec = tuple(map(operator.index, value))
+    except TypeError:
+        raise ValueError(
+            f"exponents must be integers, got {value!r}") from None
     if len(vec) != 5:
         raise ValueError(
             f"exponent vector must have length 5, got {value!r}")
@@ -141,10 +147,18 @@ class PcPresentation:
     Both accept length-5 exponent vectors; missing entries mean trivial.
     Construction runs the overlaps of `_overlaps` and raises
     InconsistentPresentation if any fails.
+
+    The collector's state is built here too: `_conj`, the conjugate
+    memo, maps (j, m, e, c), m > j, to the syllables of
+    g_j^-e g_m^c g_j^e in stack order, filled by `_conjugate`;
+    `_blockers[j]` holds the k > j with [g_k, g_j] != 1, ascending;
+    `_suffix[j]` the exponents of g_j^p above g_j, or () when
+    g_j^p = 1; and `_inv_tails[i - 1]` the syllables of (g_i^p)^-1.
     """
 
-    __slots__ = ("prime", "power_tails", "comm_tails", "_key",
-                 "_inv_tails", "_cctx", "_derived", "_exponent")
+    __slots__ = ("prime", "power_tails", "comm_tails", "_key", "_conj",
+                 "_blockers", "_suffix", "_inv_tails", "_derived",
+                 "_exponent")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = int(prime)
@@ -193,14 +207,19 @@ class PcPresentation:
         self.comm_tails = full
         self._key = (prime, self.power_tails,
                      tuple(full[pair] for pair in _PAIRS))
-        self._inv_tails = None
-        self._cctx = None
+        self._conj = {}
+        self._blockers = (None,) + tuple(
+            tuple(k for k in range(j + 1, 6) if any(full[(k, j)]))
+            for j in range(1, 6))
+        self._suffix = (None,) + tuple(t[j:] if any(t) else ()
+                                       for j, t in enumerate(pt, 1))
         self._derived = None
         self._exponent = None
         failures = [f"overlap {label}: {x} vs {y}"
                     for label, x, y in _overlaps(self) if x != y]
         if failures:
             raise InconsistentPresentation(failures)
+        self._inv_tails = tuple(_stack(_solve(t, IDENTITY, self)) for t in pt)
 
     def __eq__(self, other):
         return isinstance(other, PcPresentation) and self._key == other._key
@@ -232,39 +251,9 @@ class PcPresentation:
 # ---------------------------------------------------------------------------
 # collection
 
-def _collect_ctx(P: PcPresentation):
-    """The conjugate memo, blockers and power-tail suffixes of the
-    collector.
-
-    conj[j][m][e][c], m > j, holds the syllables of g_j^-e g_m^c g_j^e in
-    stack order, or None until `_conjugate` fills it; every row starts as
-    one shared tuple of Nones, and gets p slots of its own when its first
-    entry is filled.  blockers[j]: the k > j with
-    [g_k, g_j] != 1, ascending; suffix[j]: the exponents of g_j^p above
-    g_j, or [] when g_j^p = 1.
-    """
-    ctx = P._cctx
-    if ctx is None:
-        p = P.prime
-        unfilled = (None,) * p
-        conj = [None] * 6
-        blockers = [()] * 6
-        suffix = [[]] * 6
-        for j in range(1, 6):
-            conj[j] = [None] * (j + 1) + [[unfilled] * p
-                                          for _ in range(j + 1, 6)]
-            blockers[j] = tuple(k for k in range(j + 1, 6)
-                                if any(P.comm_tails[(k, j)]))
-            if any(P.power_tails[j - 1]):
-                suffix[j] = list(P.power_tails[j - 1][j:])
-        ctx = (p, conj, blockers, suffix)
-        P._cctx = ctx
-    return ctx
-
-
 def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
-    """conj[j][m][e][c]: the syllables of g_j^-e g_m^c g_j^e, filled with
-    the entries that it rests on, by phi_e = phi_(e-h) o phi_h.
+    """The memo entry (j, m, e, c): the syllables of g_j^-e g_m^c g_j^e,
+    filled with the entries that it rests on, by phi_e = phi_(e-h) o phi_h.
 
     g_j^-1 g_m g_j = g_m [g_m, g_j] is a normal form, since the tail lies
     above g_m.  With h = e // 2, each syllable g_l^v of the entry for
@@ -272,13 +261,13 @@ def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
     entry for (e, c) is the one for (e, h) times the one for (e, c - h).
     All these products lie in <g_(j+1), ...> and are collected there.
     """
-    p, conj, _, _ = _collect_ctx(P)
+    conj = P._conj
     x = [0, 0, 0, 0, 0]
     if c > 1:
         h = c // 2
-        for l, v in conj[j][m][e][h] or _conjugate(P, j, m, e, h):
+        for l, v in conj.get((j, m, e, h)) or _conjugate(P, j, m, e, h):
             x[l - 1] = v
-        _collect_into(x, list(conj[j][m][e][c - h]
+        _collect_into(x, list(conj.get((j, m, e, c - h))
                               or _conjugate(P, j, m, e, c - h)), P)
     elif e == 1:
         x = list(P.comm_tails[(m, j)])
@@ -286,14 +275,12 @@ def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
     else:
         h = e // 2
         stack = []
-        for l, v in conj[j][m][h][1] or _conjugate(P, j, m, h, 1):
-            stack += conj[j][l][e - h][v] or _conjugate(P, j, l, e - h, v)
+        for l, v in conj.get((j, m, h, 1)) or _conjugate(P, j, m, h, 1):
+            stack += (conj.get((j, l, e - h, v))
+                      or _conjugate(P, j, l, e - h, v))
         _collect_into(x, stack, P)
-    rows = conj[j][m]
-    if type(rows[e]) is tuple:
-        rows[e] = [None] * p
-    rows[e][c] = _stack(x)
-    return rows[e][c]
+    syllables = conj[j, m, e, c] = _stack(x)
+    return syllables
 
 
 def _mul(a: Element, b: Element, P: PcPresentation) -> Element:
@@ -316,7 +303,7 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
     goes right above g_j; the part above g_j is lifted off again and
     collected after it.
     """
-    p, conj, blockers, suffix = P._cctx or _collect_ctx(P)
+    p, conj, blockers, suffix = P.prime, P._conj, P._blockers, P._suffix
     pop = stack.pop
     push = stack.append
     extend = stack.extend
@@ -324,11 +311,11 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
         j, e = pop()
         for k in blockers[j]:
             if out[k - 1]:
-                cj = conj[j]
                 for m in range(5, k - 1, -1):
                     c = out[m - 1]
                     if c:
-                        extend(cj[m][e][c] or _conjugate(P, j, m, e, c))
+                        extend(conj.get((j, m, e, c))
+                               or _conjugate(P, j, m, e, c))
                         out[m - 1] = 0
                 break
         s = out[j - 1] + e
@@ -348,15 +335,12 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
 def _gen_power(P: PcPresentation, i: int, n: int) -> list:
     """The syllables of g_i^n.  For -p < n < 0 that is the normal form
     g_i^(p+n) (g_i^p)^-1, since the inverse of the power tail lies above
-    g_i; the five inverse tails are solved once per presentation.  Other
-    exponents square and multiply, with n taken modulo p^5."""
+    g_i; the constructor solves the five inverse tails.  Other exponents
+    square and multiply, with n taken modulo p^5."""
     p = P.prime
     if 0 < n < p:
         return [(i, n)]
     if -p < n < 0:
-        if P._inv_tails is None:
-            P._inv_tails = [_stack(_solve(t, IDENTITY, P))
-                            for t in P.power_tails]
         return P._inv_tails[i - 1] + [(i, p + n)]
     return _stack(_pow(generator(i), n % p**5, P))
 
@@ -370,10 +354,13 @@ def normalize(word, P: PcPresentation) -> Element:
     """
     parts = []
     for gen, exp in word:
-        gen = int(gen)
+        try:
+            gen, exp = operator.index(gen), operator.index(exp)
+        except TypeError:
+            raise ValueError(f"generator index and exponent must be "
+                             f"integers, got {(gen, exp)!r}") from None
         if not 1 <= gen <= 5:
             raise ValueError(f"generator index {gen} outside 1..5")
-        exp = int(exp)
         if exp:
             parts.append(_gen_power(P, gen, exp))
     stack = []

@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +255,36 @@ def test_verify_at_more_primes(capsys, p):
     assert rc == 0
     assert out.count(" checks pass\n") == 72
     assert out.splitlines()[-1] == "PASS"
+
+
+def test_census_spot_check_names_its_own_primes(capsys):
+    # the census counts torsion at 3, 5 and 7 whatever --prime says
+    lines = []
+    for p in (5, 101):
+        rc, out, _ = run(capsys, "verify", "--prime", str(p), "--family", "1")
+        assert rc == 0
+        lines += [x for x in out.splitlines() if "census" in x]
+    assert lines == 2 * ["  census vs normal form at p = 3, 5, 7: ok "
+                         "(40 instances)"]
+
+
+def test_verify_memory_stays_flat_in_p():
+    # a child process reports its own peak RSS, which the children of
+    # other tests cannot inflate; ru_maxrss is in KB on Linux
+    script = ("import resource, sys\n"
+              "from p5tensor.cli import main\n"
+              "rc = main(['verify', '--prime', '100003'])\n"
+              "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "print(rc, peak, file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=300)
+    rc, peak_kb = map(int, child.stderr.split())
+    assert child.returncode == 0 and rc == 0
+    assert child.stdout.splitlines()[-1] == "PASS"
+    assert peak_kb < 100 * 1024, f"peak RSS {peak_kb} KB"
 
 
 def test_groups_above_p13_run_on_the_collector(capsys):

@@ -1,6 +1,7 @@
 """Collector, tables, and subgroup machinery on five-generator
 power-commutator presentations."""
 
+import math
 import random
 import types
 
@@ -33,7 +34,6 @@ from p5tensor.pcgroup import (
     power,
     subgroup_closure,
     _center_seq,
-    _collect_ctx,
     _conjugate,
 )
 
@@ -199,6 +199,21 @@ def test_consistency_catches_bad_power_tail():
         "overlap g2 g1^p != (g2 g1)g1^(p-1): "
         "(0, 1, 0, 0, 0) vs (0, 1, 0, 1, 0)")
     assert str(exc.value) == exc.value.failures[0]
+
+
+def test_exponents_and_generator_indices_must_be_integers():
+    # operator.index semantics: a float is refused, not truncated; ints
+    # of any integral type pass
+    P = heisenberg()
+    with pytest.raises(ValueError, match="must be integers"):
+        multiply((1.9, 0, 0, 0, 0), (0, 2.2, 0, 0, 0), P)
+    for pair in ((1.5, 2), (1, 2.7)):
+        with pytest.raises(ValueError, match="must be integers"):
+            normalize([pair], P)
+    with pytest.raises(ValueError, match="must be integers"):
+        PcPresentation(7, power_tails={1: (0, 0.5, 0, 0, 0)})
+    assert multiply((np.int64(1), 0, 0, 0, 0), (0, True, 0, 0, 0), P) == \
+        normalize([(np.int64(1), 1), (2, np.int8(1))], P) == (1, 1, 0, 0, 0)
 
 
 def test_power_tail_keys_are_generator_indices():
@@ -440,10 +455,11 @@ def test_element_operations_match_the_oracle_tables(p):
     pytest.param(5, False, id="5"), pytest.param(7, False, id="7"),
     pytest.param(5, True, id="5-fresh"), pytest.param(7, True, id="7-fresh")))
 def test_conjugate_memo_matches_the_tables(p, fresh):
-    # conj[j][m][e][c] against g_j^-e g_m^c g_j^e: the table conj[j]
-    # applied e times to g_m^c, for every entry.  `fresh` asks a new
-    # presentation, whose memo is empty, for the entries from e = p - 1
-    # down, so each entry is checked as the recursion first builds it
+    # memo entry (j, m, e, c) against g_j^-e g_m^c g_j^e: the table
+    # conj[j] applied e times to g_m^c, for every entry.  `fresh` asks a
+    # new presentation, whose memo is empty, for the entries from
+    # e = p - 1 down, so each entry is checked as the recursion first
+    # builds it
     entries = 0
     for row, params in groups_at(p):
         P = build(row, p, params)
@@ -451,8 +467,8 @@ def test_conjugate_memo_matches_the_tables(p, fresh):
         if fresh:
             # the constructor's overlaps fill some entries; start empty
             P = PcPresentation(p, P.power_tails, P.comm_tails)
-            P._cctx = None
-        memo = _collect_ctx(P)[1]
+            P._conj.clear()
+        memo = P._conj
         for j in range(1, 5):
             for m in range(j + 1, 6):
                 x = [np.arange(1, p) * g.strides[m - 1]]
@@ -460,7 +476,8 @@ def test_conjugate_memo_matches_the_tables(p, fresh):
                     x.append(g.conj[j][x[-1]])
                 for e in range(p - 1, 0, -1) if fresh else range(1, p):
                     for c in range(1, p):
-                        syl = memo[j][m][e][c] or _conjugate(P, j, m, e, c)
+                        syl = (memo.get((j, m, e, c))
+                               or _conjugate(P, j, m, e, c))
                         got = [0, 0, 0, 0, 0]
                         for l, v in syl:
                             got[l - 1] = v
@@ -470,15 +487,13 @@ def test_conjugate_memo_matches_the_tables(p, fresh):
     assert entries == len(groups_at(p)) * 10 * (p - 1)**2
 
 
-def test_conjugate_memo_of_one_row_stays_small_at_p1009():
+@pytest.mark.parametrize("p", (1009, 100003))
+def test_conjugate_memo_of_one_row_stays_small(p):
     # phi_e = phi_(e-h) o phi_h: an entry rests on O(log p) others, so
-    # the consistency triples of row 59, which need the conjugates by
-    # g_j^(p-1), allocate few memo rows of p slots
-    P = build("59", 1009)
-    memo = _collect_ctx(P)[1]
-    rows = sum(type(r) is list for j in range(1, 6)
-               for m in range(j + 1, 6) for r in memo[j][m])
-    assert rows <= 200
+    # the overlaps of row 59, which need the conjugates by g_j^(p-1),
+    # fill O(log^2 p) entries for each of the ten pairs (j, m)
+    P = build("59", p)
+    assert 0 < len(P._conj) <= 10 * math.log2(p)**2
 
 
 @pytest.mark.parametrize("p", (5, 7))
