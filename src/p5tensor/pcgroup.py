@@ -47,14 +47,17 @@ invariants of a subgroup all work on these sequences through the
 collector, at a cost polynomial in log|G|.  The pc series is central
 (every tail of [g_j, g_i] lies above g_j), which keeps the algebra
 small: a normal closure needs only p-th powers and commutators with
-g1..g5, and the center is cut out layer by layer as the kernel of a
-linear map to F_p^5.  Each commutator [s, g_i] is taken once: the
-lists that the normal closure of gamma_c computes generate
-gamma_(c+1) = [gamma_c, G] as a normal subgroup (G' is the closure of
-the tails, memoised like the exponent), and the center's layer map
-reads its rows off the lists of each kernel's closure.  The type of an
-abelian subgroup is the Smith normal form of its relative power
-relations.
+g1..g5, a closure stops at a full tail (once its slots of depths d..4
+are filled it holds every element of depth >= d, so a new slot of
+depth d - 1 queues nothing), and the center is cut out layer by layer
+as the kernel of a linear map to F_p^5.  Each commutator [s, g_i] is
+taken once: the lists that the normal closure of gamma_c computes
+generate gamma_(c+1) = [gamma_c, G] as a normal subgroup (G' is the
+closure of the tails, memoised like the exponent), and the center's
+layer map reads its rows off the lists of each kernel's closure.  The
+exponent is p times the largest order of the five power tails, since
+g_i^p = tail_i.  The type of an abelian subgroup is the Smith normal
+form of its relative power relations.
 
 The tests hold all of this against an independent p^5 multiplication
 table, built by a different recursion: the collector against the table
@@ -97,6 +100,14 @@ class InconsistentPresentation(Exception):
 
 class NotAbelian(Exception):
     """Abelian invariants were requested for a non-abelian subgroup."""
+
+
+def _integer(value, message: str) -> int:
+    """operator.index(value): an int, never a truncated float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message}, got {value!r}") from None
 
 
 def _is_prime(n: int) -> bool:
@@ -161,7 +172,7 @@ class PcPresentation:
                  "_exponent")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
-        prime = int(prime)
+        prime = _integer(prime, "prime must be an integer")
         if prime < 5 or not _is_prime(prime):
             raise ValueError(f"prime must be a prime >= 5, got {prime}")
         self.prime = prime
@@ -171,7 +182,8 @@ class PcPresentation:
         if isinstance(power_tails, dict):
             pt = [IDENTITY] * 5
             for i, v in power_tails.items():
-                i = int(i)
+                i = _integer(int(i) if isinstance(i, str) else i,
+                             "power tail index must be an integer")
                 if not 1 <= i <= 5:
                     raise ValueError(f"bad power tail index {i}")
                 pt[i - 1] = _as_vec(v, prime)
@@ -191,7 +203,8 @@ class PcPresentation:
         ct = {}
         if comm_tails:
             for (j, i), v in comm_tails.items():
-                j, i = int(j), int(i)
+                j, i = (_integer(k, "commutator pair entries must be integers")
+                        for k in (j, i))
                 if not (1 <= i < j <= 5):
                     raise ValueError(f"bad commutator pair ({j},{i})")
                 vec = _as_vec(v, prime)
@@ -284,9 +297,22 @@ def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
 
 
 def _mul(a: Element, b: Element, P: PcPresentation) -> Element:
-    """a b, by collecting the syllables of b into a."""
+    """a b, by collecting the syllables of b into a (the stack of
+    `_stack`, built inline: `_mul` is the hottest caller)."""
+    b1, b2, b3, b4, b5 = b
+    stack = []
+    if b5:
+        stack.append((5, b5))
+    if b4:
+        stack.append((4, b4))
+    if b3:
+        stack.append((3, b3))
+    if b2:
+        stack.append((2, b2))
+    if b1:
+        stack.append((1, b1))
     out = list(a)
-    _collect_into(out, _stack(b), P)
+    _collect_into(out, stack, P)
     return tuple(out)
 
 
@@ -481,8 +507,8 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     """Induced pc sequence of the subgroup the seeds generate, or with
     `normal` of their normal closure: elements of distinct depths, each
     with leading exponent 1, by increasing depth.  Returns the sequence
-    and, in the same order, the commutators that each element s put on
-    the queue: [s, g_1], ..., [s, g_5] for a normal closure.
+    and, in the same order, the commutators that each element s took:
+    [s, g_1], ..., [s, g_5] for a normal closure.
 
     Each element s that sifts to a new depth is scaled to leading
     exponent 1 and puts s^p and its commutators with the sequence so far
@@ -493,21 +519,41 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     each s_j then normalises <s_(j+1), ...> (for a normal closure, so
     does every g_i), so the products s_1^e_1 ... s_m^e_m, 0 <= e_i < p,
     form the subgroup.
+
+    The closure stops at a full tail.  `full` is the least depth from
+    which every slot is filled; filled slots of depths d+1..4 generate
+    G_(d+1), the elements of depth >= d+1, by the same induction (their
+    products are p^(4-d) distinct elements of G_(d+1)).  The series is
+    central, so a slot s of depth d has s^p and every [s, y] in G_(d+1).
+    Once slots d+1..4 are filled, a new slot of depth d queues none of
+    them: a plain closure takes no commutator, and a normal one still
+    lists [s, g_1..g_5], which `_center_seq` and `lower_central_series`
+    read.  A popped element of depth >= `full` is dropped unsifted.
+    Every skipped element would sift to 1, so the sequence and the lists
+    are those of the closure without the cut.
     """
     p = P.prime
     slots = [None] * 5
     comms = [None] * 5
+    full = 5
     queue = list(seeds)
     while queue:
-        x, d, _ = _sift(queue.pop(), slots, P)
+        x = queue.pop()
+        if _depth(x) >= full:
+            continue
+        x, d, _ = _sift(x, slots, P)
         if d == 5:
             continue
         x = _pow(x, pow(x[d], -1, p), P)
-        others = _GENS if normal else [s for s in slots if s is not None]
+        queued = d + 1 < full
+        others = _GENS if normal else slots if queued else ()
+        comms[d] = [_comm(x, y, P) for y in others if y is not None]
         slots[d] = x
-        queue.append(_pow(x, p, P))
-        comms[d] = [_comm(x, y, P) for y in others]
-        queue += comms[d]
+        while full and slots[full - 1] is not None:
+            full -= 1
+        if queued:
+            queue.append(_pow(x, p, P))
+            queue += comms[d]
     depths = [d for d in range(5) if slots[d] is not None]
     return (tuple(slots[d] for d in depths),
             tuple(comms[d] for d in depths))
@@ -612,7 +658,7 @@ def power(a: Element, n: int, P: PcPresentation) -> Element:
     """a^n; element orders divide p^5, so n counts modulo p^5, and past
     half of that a^n is the (p^5 - n)-th power of a^-1."""
     a, top = _as_vec(a, P.prime), P.prime**5
-    n = int(n) % top
+    n = _integer(n, "exponents must be integers") % top
     if 2 * n > top:
         a, n = _solve(a, IDENTITY, P), top - n
     return _pow(a, n, P)
@@ -677,10 +723,12 @@ def exponent(P: PcPresentation) -> int:
     Every group of order p^5 has class <= 4 < p (PcPresentation refuses
     p < 5), so it is regular (P. Hall, Proc. LMS 36, 1934); in a regular
     p-group the elements of order dividing p^k form a subgroup, and exp G
-    is the largest order among any generating set.  Memoised on P.
+    is the largest order among any generating set.  A pc generator has
+    g_i^p = tail_i, so order(g_i) = p * order(tail_i), and the orders
+    start from the power tails.  Memoised on P.
     """
     if P._exponent is None:
-        P._exponent = max(_order(g, P) for g in _GENS)
+        P._exponent = P.prime * max(_order(t, P) for t in P.power_tails)
     return P._exponent
 
 

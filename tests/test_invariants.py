@@ -291,6 +291,26 @@ def test_compute_record_computes_each_invariant_once(monkeypatch, p):
         assert calls.get("order", 0) <= 5, spec.id
 
 
+def test_compute_record_collector_calls_stay_under_the_gate(monkeypatch):
+    # a work gate without timing noise: every collection of the 72 rows
+    # at p = 7, from fresh presentations; without the full-tail cut of
+    # `_closure` and with the exponent taken from the generators it was
+    # 20 394 calls, 16 049 with them
+    calls = 0
+    collect = pcgroup._collect_into
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return collect(*args)
+
+    families._build_cached.cache_clear()
+    monkeypatch.setattr(pcgroup, "_collect_into", counting)
+    for spec in list_families():
+        compute_record(spec.id, 7)
+    assert calls <= 17_000
+
+
 @pytest.mark.parametrize("p", (5, 7))
 def test_lower_central_series_starts_from_the_derived_subgroup(p):
     gens = [generator(i) for i in range(1, 6)]

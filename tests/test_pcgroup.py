@@ -223,6 +223,30 @@ def test_power_tail_keys_are_generator_indices():
             PcPresentation(P5, power_tails={key: (0, 0, 0, 0, 1)})
     assert PcPresentation(P5, power_tails={"3": v}) == \
         PcPresentation(P5, power_tails={3: v})
+    with pytest.raises(ValueError, match="index must be an integer"):
+        PcPresentation(P5, power_tails={3.0: v})
+
+
+def test_power_refuses_a_float_exponent():
+    # a float exponent is refused, not truncated to the square
+    with pytest.raises(ValueError, match="must be integers"):
+        power(generator(1), 2.5, heisenberg())
+    assert power(generator(1), np.int64(2), heisenberg()) == (2, 0, 0, 0, 0)
+
+
+def test_prime_must_be_an_integer():
+    for prime in (7.9, 7.0, "7"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PcPresentation(prime)
+    assert PcPresentation(np.int64(7)) == PcPresentation(7)
+
+
+def test_commutator_pairs_must_be_integers():
+    # (2.6, 1.2) is not read as the pair (2, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        PcPresentation(P5, comm_tails={(2.6, 1.2): (0, 0, 1, 0, 0)})
+    assert PcPresentation(P5, comm_tails={(np.int64(2), 1): (0, 0, 1, 0, 0)})\
+        == heisenberg()
 
 
 def test_tables_stop_at_the_table_limit():
@@ -598,7 +622,7 @@ def census_type(g, mask):
 @pytest.mark.parametrize(
     "p", (5, 7, pytest.param(11, marks=pytest.mark.slow)))
 def test_pc_sequences_match_the_table_route(p):
-    rng = random.Random(p)
+    rng, tail_rng = random.Random(p), random.Random(-p)
     for row, params in groups_at(p):
         P = build(row, p, params)
         g = TableGroup(P)
@@ -625,6 +649,17 @@ def test_pc_sequences_match_the_table_route(p):
             assert (as_mask(g, sub) ==
                     closure_mask(g, seeds, normal=True)).all(), where
             assert all(e in sub for e in elems), where
+        # closures whose tail fills first: the deep seeds (depth >= 2, an
+        # index below p^3) are popped first, so the closure stops at a
+        # full tail while the shallow seed's powers and commutators remain
+        for deep in ([g.idx_of(generator(i)) for i in (3, 4, 5)],
+                     [tail_rng.randrange(p**3) for _ in range(3)]):
+            seeds = [tail_rng.randrange(p**3, g.n)] + deep
+            elems = [g.exps_of(s) for s in seeds]
+            for close, normal in ((subgroup_closure, False),
+                                  (normal_closure, True)):
+                assert (as_mask(g, close(elems, P)) ==
+                        closure_mask(g, seeds, normal)).all(), (where, seeds)
 
 
 def test_subgroup_elements_are_the_pc_products():
