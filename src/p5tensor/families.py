@@ -13,6 +13,7 @@ documented erratum.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -32,10 +33,20 @@ def _data():
         return json.load(fh)
 
 
+def _prime(p, least, message):
+    """operator.index(p) if that is a prime >= least, else BadParam."""
+    try:
+        n = operator.index(p)
+    except TypeError:
+        raise BadParam(f"p must be an integer, got {p!r}") from None
+    if n < least or not _is_prime(n):
+        raise BadParam(f"{message}, got {p!r}")
+    return n
+
+
 def primitive_root(p):
     """Smallest positive primitive root modulo the odd prime p."""
-    if not isinstance(p, int) or p < 3 or not _is_prime(p):
-        raise BadParam(f"need an odd prime, got {p!r}")
+    p = _prime(p, 3, "need an odd prime")
     factors = set()
     n, q = p - 1, 2
     while q * q <= n:
@@ -52,9 +63,8 @@ def primitive_root(p):
 
 
 def check_prime(p):
-    """Raise BadParam unless p is a prime greater than 3."""
-    if not isinstance(p, int) or p <= 3 or not _is_prime(p):
-        raise BadParam(f"p must be a prime greater than 3, got {p!r}")
+    """p as an int; raise BadParam unless it is a prime greater than 3."""
+    return _prime(p, 5, "p must be a prime greater than 3")
 
 
 @dataclass(frozen=True)
@@ -191,10 +201,10 @@ def _build_cached(fid, p, param_items):
 
 
 def _resolve(family, p, params):
-    """The family's spec and its parameter values at p, or BadParam."""
+    """The spec, p as an int and the parameter values at p, or BadParam."""
     spec = family_spec(family)
-    check_prime(p)
-    return spec, _resolve_params(spec, p, params)
+    p = check_prime(p)
+    return spec, p, _resolve_params(spec, p, params)
 
 
 def build(family, p, params=None):
@@ -204,7 +214,7 @@ def build(family, p, params=None):
     InconsistentPresentation if the instantiated relations fail the
     overlap checks (which would indicate corrupted template data).
     """
-    spec, vals = _resolve(family, p, params)
+    spec, p, vals = _resolve(family, p, params)
     return _build_cached(spec.family, p, tuple(sorted(vals.items())))
 
 
@@ -271,7 +281,7 @@ def _row_for(spec, p, vals):
 
 def expected_record(family, p, params=None):
     """The expected invariant values for a family instantiated at p."""
-    spec, vals = _resolve(family, p, params)
+    spec, p, vals = _resolve(family, p, params)
     row_id = _row_for(spec, p, vals)
     row = _data()["rows"][row_id]
     sources = {f: "structure table" for f in _STRUCTURE_FIELDS}

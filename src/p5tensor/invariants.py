@@ -169,6 +169,7 @@ def compute_record(family, p, params=None):
     expectations (validation is a separate step).  Each invariant is
     computed once: G^ab and G' feed nabla, j2 and both squares."""
     expected = families.expected_record(family, p, params)
+    p = expected.p
     P = families.build(family, p, params)
     ab = ab_from_presentation(P)
     nab = gamma(ab, prime=p)

@@ -50,11 +50,10 @@ small: a normal closure needs only p-th powers and commutators with
 g1..g5, a closure stops at a full tail (once its slots of depths d..4
 are filled it holds every element of depth >= d, so a new slot of
 depth d - 1 queues nothing), and the center is cut out layer by layer
-as the kernel of a linear map to F_p^5.  Each commutator [s, g_i] is
-taken once: the lists that the normal closure of gamma_c computes
-generate gamma_(c+1) = [gamma_c, G] as a normal subgroup (G' is the
-closure of the tails, memoised like the exponent), and the center's
-layer map reads its rows off the lists of each kernel's closure.  The
+as the kernel of a linear map to F_p^5.  A commutator [g_a, g_i] of
+two pc generators is never collected: the presentation keeps them in
+one table, read by `_comm`, the only route to a commutator (G' is the
+normal closure of the tails, memoised on the presentation).  The
 exponent is p times the largest order of the five power tails, since
 g_i^p = tail_i.  The type of an abelian subgroup is the Smith normal
 form of its relative power relations.
@@ -83,6 +82,8 @@ IDENTITY: Element = (0, 0, 0, 0, 0)
 
 _GENS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
          (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+
+_GEN_INDEX = {g: i for i, g in enumerate(_GENS)}
 
 _PAIRS = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
           (5, 1), (5, 2), (5, 3), (5, 4))
@@ -164,12 +165,13 @@ class PcPresentation:
     g_j^-e g_m^c g_j^e in stack order, filled by `_conjugate`;
     `_blockers[j]` holds the k > j with [g_k, g_j] != 1, ascending;
     `_suffix[j]` the exponents of g_j^p above g_j, or () when
-    g_j^p = 1; and `_inv_tails[i - 1]` the syllables of (g_i^p)^-1.
+    g_j^p = 1; `_inv_tails[i - 1]` the syllables of (g_i^p)^-1; and
+    `_comms[a - 1][i - 1]` the commutator [g_a, g_i]: the tail of (a, i)
+    for a > i, its inverse for a < i, the identity for a = i.
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key", "_conj",
-                 "_blockers", "_suffix", "_inv_tails", "_derived",
-                 "_exponent")
+                 "_blockers", "_suffix", "_inv_tails", "_comms", "_derived")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = _integer(prime, "prime must be an integer")
@@ -227,12 +229,15 @@ class PcPresentation:
         self._suffix = (None,) + tuple(t[j:] if any(t) else ()
                                        for j, t in enumerate(pt, 1))
         self._derived = None
-        self._exponent = None
         failures = [f"overlap {label}: {x} vs {y}"
                     for label, x, y in _overlaps(self) if x != y]
         if failures:
             raise InconsistentPresentation(failures)
         self._inv_tails = tuple(_stack(_solve(t, IDENTITY, self)) for t in pt)
+        self._comms = tuple(
+            tuple(full[a, i] if a > i else
+                  _solve(full[i, a], IDENTITY, self) if a < i else IDENTITY
+                  for i in range(1, 6)) for a in range(1, 6))
 
     def __eq__(self, other):
         return isinstance(other, PcPresentation) and self._key == other._key
@@ -463,7 +468,11 @@ def _solve(u: Element, w: Element, P: PcPresentation) -> Element:
 
 
 def _comm(a: Element, b: Element, P: PcPresentation) -> Element:
-    """[a, b], solved from (b a) [a, b] = a b."""
+    """[a, b]: read off `P._comms` when both are pc generators, otherwise
+    solved from (b a) [a, b] = a b."""
+    i = _GEN_INDEX.get(a)
+    if i is not None and b in _GEN_INDEX:
+        return P._comms[i][_GEN_INDEX[b]]
     return _solve(_mul(b, a, P), _mul(a, b, P), P)
 
 
@@ -506,9 +515,7 @@ def _sift(x: Element, slots: list, P: PcPresentation):
 def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     """Induced pc sequence of the subgroup the seeds generate, or with
     `normal` of their normal closure: elements of distinct depths, each
-    with leading exponent 1, by increasing depth.  Returns the sequence
-    and, in the same order, the commutators that each element s took:
-    [s, g_1], ..., [s, g_5] for a normal closure.
+    with leading exponent 1, by increasing depth.
 
     Each element s that sifts to a new depth is scaled to leading
     exponent 1 and puts s^p and its commutators with the sequence so far
@@ -526,15 +533,12 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     products are p^(4-d) distinct elements of G_(d+1)).  The series is
     central, so a slot s of depth d has s^p and every [s, y] in G_(d+1).
     Once slots d+1..4 are filled, a new slot of depth d queues none of
-    them: a plain closure takes no commutator, and a normal one still
-    lists [s, g_1..g_5], which `_center_seq` and `lower_central_series`
-    read.  A popped element of depth >= `full` is dropped unsifted.
-    Every skipped element would sift to 1, so the sequence and the lists
-    are those of the closure without the cut.
+    them and takes no commutator.  A popped element of depth >= `full`
+    is dropped unsifted.  Every skipped element would sift to 1, so the
+    sequence is that of the closure without the cut.
     """
     p = P.prime
     slots = [None] * 5
-    comms = [None] * 5
     full = 5
     queue = list(seeds)
     while queue:
@@ -545,23 +549,18 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
         if d == 5:
             continue
         x = _pow(x, pow(x[d], -1, p), P)
-        queued = d + 1 < full
-        others = _GENS if normal else slots if queued else ()
-        comms[d] = [_comm(x, y, P) for y in others if y is not None]
+        if d + 1 < full:
+            queue.append(_pow(x, p, P))
+            queue += [_comm(x, y, P) for y in (_GENS if normal else slots)
+                      if y is not None]
         slots[d] = x
         while full and slots[full - 1] is not None:
             full -= 1
-        if queued:
-            queue.append(_pow(x, p, P))
-            queue += comms[d]
-    depths = [d for d in range(5) if slots[d] is not None]
-    return (tuple(slots[d] for d in depths),
-            tuple(comms[d] for d in depths))
+    return tuple(s for s in slots if s is not None)
 
 
 def _derived(P: PcPresentation) -> tuple:
-    """G' and its commutator lists, as `_closure` returns them: the
-    normal closure of the tails [g_j, g_i], memoised on P."""
+    """G': the normal closure of the tails [g_j, g_i], memoised on P."""
     if P._derived is None:
         P._derived = _closure(P.comm_tails.values(), P, normal=True)
     return P._derived
@@ -577,22 +576,15 @@ def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
     pivots; those generate it as a normal subgroup.  The zero rows take
     in the sequence of G_d <= C_d, which holds [C_d, C_d], so modulo
     them C_d is elementary abelian of rank at most the number of pivots.
-    C_2 = G: every tail of [g_j, g_i] lies above g_j with j >= 2.
-
-    No commutator is taken here: the rows of the pc generators are read
-    off the tails ([g_a, g_i] is the tail of (a, i) for a > i and its
-    inverse for a < i), and the rows of a kernel's sequence off the
-    lists that its normal closure computed.
+    C_2 = G: every tail of [g_j, g_i] lies above g_j with j >= 2.  The
+    rows of pc generators are read off the commutator table by `_comm`.
     """
     p = P.prime
     seq = _GENS
-    comms = [[P.comm_tails[a, i] if a > i else
-              _solve(P.comm_tails[i, a], IDENTITY, P) if a < i else IDENTITY
-              for i in range(1, 6)] for a in range(1, 6)]
     for d in range(2, stop):
         pivots, seeds = [], []
-        for x, row in zip(seq, comms):
-            v = [c[d] for c in row]
+        for x in seq:
+            v = [_comm(x, g, P)[d] for g in _GENS]
             for y, w, c in pivots:
                 if v[c]:
                     f = v[c] * pow(w[c], -1, p) % p
@@ -605,7 +597,7 @@ def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
                 seeds.append(_pow(x, p, P))
                 pivots.append((x, v, c))
         if pivots:
-            seq, comms = _closure(seeds, P, normal=True)
+            seq = _closure(seeds, P, normal=True)
     return seq
 
 
@@ -677,23 +669,21 @@ def order_of(a: Element, P: PcPresentation) -> int:
 
 
 def generator(i: int) -> Element:
-    e = [0, 0, 0, 0, 0]
-    e[i - 1] = 1
-    return tuple(e)
+    return _GENS[i - 1]
 
 
 def subgroup_closure(gens, P: PcPresentation) -> Subgroup:
-    return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P)[0])
+    return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P))
 
 
 def normal_closure(gens, P: PcPresentation) -> Subgroup:
     return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P,
-                                normal=True)[0])
+                                normal=True))
 
 
 def derived_subgroup(P: PcPresentation) -> Subgroup:
     """G': the normal closure of the commutator tails [g_j, g_i]."""
-    return Subgroup(P, _derived(P)[0])
+    return Subgroup(P, _derived(P))
 
 
 def center(P: PcPresentation) -> Subgroup:
@@ -703,12 +693,12 @@ def center(P: PcPresentation) -> Subgroup:
 def lower_central_series(P: PcPresentation) -> list:
     """G = gamma_1 > gamma_2 > ... > 1, with gamma_2 = G' and
     gamma_(c+1) the normal closure of the [s, g_i] over the sequence s
-    of gamma_c: the lists that the normal closure of gamma_c computed."""
-    seq, comms = _derived(P)
+    of gamma_c."""
+    seq = _derived(P)
     series = [_GENS, seq]
     while seq:
-        seq, comms = _closure([c for row in comms for c in row], P,
-                              normal=True)
+        seq = _closure([_comm(s, g, P) for s in seq for g in _GENS], P,
+                       normal=True)
         series.append(seq)
     return [Subgroup(P, seq) for seq in series]
 
@@ -725,11 +715,9 @@ def exponent(P: PcPresentation) -> int:
     p-group the elements of order dividing p^k form a subgroup, and exp G
     is the largest order among any generating set.  A pc generator has
     g_i^p = tail_i, so order(g_i) = p * order(tail_i), and the orders
-    start from the power tails.  Memoised on P.
+    start from the power tails.
     """
-    if P._exponent is None:
-        P._exponent = P.prime * max(_order(t, P) for t in P.power_tails)
-    return P._exponent
+    return P.prime * max(_order(t, P) for t in P.power_tails)
 
 
 def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
@@ -745,7 +733,7 @@ def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
     # pairwise commuting generators span an abelian group
     for a, x in enumerate(seq):
         for y in seq[a + 1:]:
-            if _mul(x, y, P) != _mul(y, x, P):
+            if _comm(x, y, P) != IDENTITY:
                 raise NotAbelian(f"generators {x} and {y} do not commute")
     slots = _by_depth(seq)
     column = {_depth(s): j for j, s in enumerate(seq)}

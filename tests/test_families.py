@@ -1,11 +1,15 @@
 """Catalog layer: family ids, parameter handling, recorded columns,
 raw index reconciliation."""
 
+import json
+
+import numpy as np
 import pytest
 
 from p5tensor import (
     BadParam,
     build,
+    compute_record,
     epicenter_index_raw,
     errata,
     errata_for,
@@ -83,6 +87,22 @@ def test_primitive_roots():
                    for q in (2, 3, 5, 7, 11) if (p - 1) % q == 0)
     with pytest.raises(BadParam):
         primitive_root(9)
+
+
+def test_prime_is_taken_through_operator_index():
+    # a numpy integer is a prime like any int, and the records keep the
+    # plain int; a float or a bool is refused
+    assert build("14", np.int64(7)) == build("14", 7)
+    assert type(expected_record("14", np.int64(7)).p) is int
+    record = compute_record("14", np.int64(7)).to_json_dict()
+    assert json.loads(json.dumps(record)) == \
+        compute_record("14", 7).to_json_dict()
+    assert primitive_root(np.int64(7)) == 3
+    for bad, message in ((7.0, "integer"), (True, "prime")):
+        with pytest.raises(BadParam, match=message):
+            build("14", bad)
+        with pytest.raises(BadParam):
+            primitive_root(bad)
 
 
 def test_expected_record_spot_values():

@@ -455,8 +455,9 @@ def test_left_inverse_and_conjugation_tables_on_every_element(p):
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_element_operations_match_the_oracle_tables(p):
-    # inverse on every element; commutator and conjugate on seeded pairs,
-    # against inv[ba] ab and ab inv[a] formed with R
+    # inverse on every element; commutator on the 25 pairs of pc
+    # generators (the presentation's table) and, with conjugate, on
+    # seeded pairs, against inv[ba] ab and ab inv[a] formed with R
     rng = random.Random(p)
     for row, params in groups_at(p):
         P = build(row, p, params)
@@ -464,6 +465,12 @@ def test_element_operations_match_the_oracle_tables(p):
         inv = g.inv
         got = [g.solve_idx(x, 0) for x in range(g.n)]
         assert (np.array(got) == inv).all(), (row, params)
+        gens = [g.idx_of(generator(i)) for i in range(1, 6)]
+        for a in gens:
+            for b in gens:
+                ab, ba = g.mult_idx(a, b), g.mult_idx(b, a)
+                assert commutator(g.exps_of(a), g.exps_of(b), P) == \
+                    g.exps_of(g.mult_idx(int(inv[ba]), ab)), (row, params)
         for _ in range(20):
             a, b = rng.randrange(g.n), rng.randrange(g.n)
             ea, eb = g.exps_of(a), g.exps_of(b)
