@@ -20,8 +20,7 @@ for gamma, order counting for the invariant-factor extraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 AbelianType = tuple  # non-increasing tuple of positive ints
 
@@ -313,17 +312,65 @@ def format_type(a: AbelianType, prime: int | None = None) -> str:
     return " + ".join(pieces)
 
 
-@dataclass(frozen=True)
-class TensorStructure:
-    """A wedge or tensor square: abelian part, plus an optional
-    extraspecial factor of order p^3 and exponent p that two families
-    pick up."""
+class _Record:
+    """Base of the package's records: `_fields` names the fields in
+    order, and equality and the repr `Name(field=value, ...)` go by their
+    values.  A mutable record is unhashable."""
 
-    abelian_part: tuple
-    e1_factor: bool = False
+    __slots__ = ()
+    _fields = ()
+    __hash__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "abelian_part", canon(self.abelian_part))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # field by field, not two built tuples: `validate` compares the
+        # squares of every row, and this is four times faster
+        for name in self._fields:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """Base of the frozen value records: the fields are the __slots__,
+    which __init__ sets once through object.__setattr__; the record
+    hashes by value, and assigning or deleting a field raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class TensorStructure(_Value):
+    """A value record for a wedge or tensor square: abelian part
+    (canonicalised), plus an optional extraspecial factor of order p^3
+    and exponent p that two families pick up."""
+
+    __slots__ = _fields = ("abelian_part", "e1_factor")
+
+    def __init__(self, abelian_part, e1_factor=False):
+        object.__setattr__(self, "abelian_part", canon(abelian_part))
+        object.__setattr__(self, "e1_factor", e1_factor)
 
     @property
     def order_exponent(self):

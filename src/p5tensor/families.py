@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+import os
 from functools import lru_cache
-from importlib import resources
 
-from .abelian import TensorStructure
+from .abelian import TensorStructure, _Record, _Value
 from .pcgroup import PcPresentation, _is_prime
 
 
@@ -28,8 +27,8 @@ class BadParam(ValueError):
 
 @lru_cache(maxsize=1)
 def _data():
-    path = resources.files(__package__).joinpath("data/catalog_data.json")
-    with path.open(encoding="utf-8") as fh:
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog_data.json")
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -67,14 +66,17 @@ def check_prime(p):
     return _prime(p, 5, "p must be a prime greater than 3")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One catalog row: family id, parameter slots, and k-subcase."""
+class FamilySpec(_Value):
+    """A value record for one catalog row: family id, parameter slots,
+    and k-subcase."""
 
-    id: str
-    family: str
-    params: tuple
-    k_case: str | None = None
+    __slots__ = _fields = ("id", "family", "params", "k_case")
+
+    def __init__(self, id, family, params, k_case=None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "k_case", k_case)
 
 
 def _spec_for_row(row_id):
@@ -218,9 +220,8 @@ def build(family, p, params=None):
     return _build_cached(spec.family, p, tuple(sorted(vals.items())))
 
 
-@dataclass
-class ExpectedRecord:
-    """Catalog row values for one family at one prime.
+class ExpectedRecord(_Record):
+    """Catalog row values for one family at one prime; a mutable record.
 
     Partitions are stored as non-increasing tuples of prime exponents,
     so (2, 1) at p = 5 means Z_25 + Z_5.  The wedge and tensor squares
@@ -229,21 +230,28 @@ class ExpectedRecord:
     `invariants.InvariantRecord` have the same names there.
     """
 
-    row: str
-    p: int
-    params: dict
-    cl: int
-    multiplier: tuple
-    center: tuple
-    derived: tuple
-    ab: tuple
-    nabla: tuple
-    j2: tuple
-    wedge: TensorStructure
-    tensor: TensorStructure
-    wedge_center: tuple
-    tensor_center: tuple
-    sources: dict = field(default_factory=dict)
+    _fields = ("row", "p", "params", "cl", "multiplier", "center",
+               "derived", "ab", "nabla", "j2", "wedge", "tensor",
+               "wedge_center", "tensor_center", "sources")
+
+    def __init__(self, row, p, params, cl, multiplier, center, derived, ab,
+                 nabla, j2, wedge, tensor, wedge_center, tensor_center,
+                 sources=None):
+        self.row = row
+        self.p = p
+        self.params = params
+        self.cl = cl
+        self.multiplier = multiplier
+        self.center = center
+        self.derived = derived
+        self.ab = ab
+        self.nabla = nabla
+        self.j2 = j2
+        self.wedge = wedge
+        self.tensor = tensor
+        self.wedge_center = wedge_center
+        self.tensor_center = tensor_center
+        self.sources = {} if sources is None else sources
 
     @property
     def capable(self):
@@ -306,17 +314,21 @@ def expected_record(family, p, params=None):
     )
 
 
-@dataclass(frozen=True)
-class ErratumEntry:
-    """One documented defect; `field` names the ExpectedRecord field it
-    touches, None for notes on the family ids."""
+class ErratumEntry(_Value):
+    """A value record for one documented defect; `field` names the
+    ExpectedRecord field it touches, None for notes on the family ids."""
 
-    slug: str
-    rows: tuple
-    sources: tuple
-    description: str
-    resolution: str
-    field: str | None = None
+    __slots__ = _fields = ("slug", "rows", "sources", "description",
+                           "resolution", "field")
+
+    def __init__(self, slug, rows, sources, description, resolution,
+                 field=None):
+        object.__setattr__(self, "slug", slug)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "field", field)
 
 
 @lru_cache(maxsize=1)
@@ -348,16 +360,20 @@ def epicenter_index_raw():
                  for e in _data()["epicenter_index_raw"])
 
 
-@dataclass(frozen=True)
-class IndexConflict:
-    """One defect found by scanning a raw index against the tables."""
+class IndexConflict(_Value):
+    """A value record for one defect found by scanning a raw index
+    against the tables."""
 
-    index: str
-    kind: str
-    row: str
-    listed: tuple
-    resolved: tuple
-    erratum: str | None
+    __slots__ = _fields = ("index", "kind", "row", "listed", "resolved",
+                           "erratum")
+
+    def __init__(self, index, kind, row, listed, resolved, erratum):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "listed", listed)
+        object.__setattr__(self, "resolved", resolved)
+        object.__setattr__(self, "erratum", erratum)
 
 
 def _conflict_slug(index, row_id):

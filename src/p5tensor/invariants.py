@@ -17,11 +17,9 @@ is the one conversion of a column value to JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import families
-from .abelian import (TensorStructure, ab_from_presentation, canon,
-                      direct_sum, gamma, order_exponent, wedge_ab)
+from .abelian import (TensorStructure, _Record, _Value, ab_from_presentation,
+                      canon, direct_sum, gamma, order_exponent, wedge_ab)
 from .pcgroup import (abelian_invariants_of, center, derived_subgroup,
                       exponent, nilpotency_class)
 
@@ -109,36 +107,51 @@ _STRUCTURAL = ("center", "derived", "ab", "class", "nabla", "j2", "wedge",
                "tensor")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    check: str
-    passed: bool
-    detail: str
-    errata: tuple = ()
+class Verdict(_Value):
+    """A value record for one check of `validate`: its name, outcome and
+    detail, and on failure the slugs of the errata on the same field."""
+
+    __slots__ = _fields = ("check", "passed", "detail", "errata")
+
+    def __init__(self, check, passed, detail, errata=()):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "errata", errata)
 
     def __bool__(self):
         return self.passed
 
+    def to_json_dict(self):
+        return {"check": self.check, "passed": self.passed,
+                "detail": self.detail, "errata": list(self.errata)}
 
-@dataclass
-class InvariantRecord:
-    """Computed and expected invariants for one family at one prime.
-    A field shared with `expected` has the same name there."""
 
-    family: str
-    p: int
-    params: dict
-    center: tuple
-    derived: tuple
-    ab: tuple
-    cl: int
-    exponent: int
-    nabla: tuple
-    j2: tuple
-    wedge: TensorStructure
-    tensor: TensorStructure
-    expected: families.ExpectedRecord
-    verdicts: list = field(default_factory=list)
+class InvariantRecord(_Record):
+    """Computed and expected invariants for one family at one prime; a
+    mutable record.  A field shared with `expected` has the same name
+    there."""
+
+    _fields = ("family", "p", "params", "center", "derived", "ab", "cl",
+               "exponent", "nabla", "j2", "wedge", "tensor", "expected",
+               "verdicts")
+
+    def __init__(self, family, p, params, center, derived, ab, cl, exponent,
+                 nabla, j2, wedge, tensor, expected, verdicts=None):
+        self.family = family
+        self.p = p
+        self.params = params
+        self.center = center
+        self.derived = derived
+        self.ab = ab
+        self.cl = cl
+        self.exponent = exponent
+        self.nabla = nabla
+        self.j2 = j2
+        self.wedge = wedge
+        self.tensor = tensor
+        self.expected = expected
+        self.verdicts = [] if verdicts is None else verdicts
 
     @property
     def capable(self):
@@ -159,8 +172,7 @@ class InvariantRecord:
                          for k in _COMPUTED_KEYS},
             "expected": {k: json_value(column(self.expected, k))
                          for k in _EXPECTED_KEYS},
-            "verdicts": [dict(vars(v), errata=list(v.errata))
-                         for v in self.verdicts],
+            "verdicts": [v.to_json_dict() for v in self.verdicts],
         }
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .abelian import (
     AbelianType,
     EvenOrderUnsupported,
+    _Value,
     canon,
     gamma,
     order_exponent,
@@ -35,11 +35,16 @@ from .abelian import (
 _INT64_MODULUS = math.isqrt(2**63 - 1) + 1
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    ok: bool
-    checked: int
-    failures: tuple
+class OracleReport(_Value):
+    """A value record for one oracle run: whether every case agreed, how
+    many cases ran, and a description of each failing case."""
+
+    __slots__ = _fields = ("ok", "checked", "failures")
+
+    def __init__(self, ok, checked, failures):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
 
     def __bool__(self):
         return self.ok
