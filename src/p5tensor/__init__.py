@@ -46,18 +46,17 @@ from .families import (
     BadParam,
     ErratumEntry,
     ExpectedRecord,
-    FamilySpec,
     IndexConflict,
     build,
     epicenter_index_raw,
     errata,
     errata_for,
     expected_record,
-    family_spec,
     list_families,
     multiplier_index_raw,
     primitive_root,
     raw_index_conflicts,
+    row_id,
 )
 from .invariants import (
     InvariantRecord,

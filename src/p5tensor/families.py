@@ -2,11 +2,15 @@
 
 Seventy families cover every isomorphism type for p > 3; two of them,
 11 and 48, split into two table rows apiece depending on whether the
-parameter k equals (p-1)/2, giving 72 rows in all.  Each row carries
-the relation template of its family plus the expected values of every
-invariant this package computes.  The raw index listings that assign
-multipliers and exterior centers family-by-family are kept verbatim,
-defects included, so the conflict scanner can rediscover each
+parameter k equals (p-1)/2, giving 72 rows in all.  A row is named by
+its id string ("29", "11,2"): `list_families()` returns the ids in
+table order, and `row_id` normalises an id, an alias ("G29a") or a bare
+family number (11, whose row k picks).  Each row carries the relation
+template of its family plus the expected values of every invariant this
+package computes.  `build` and `expected_record` resolve a row, a prime
+and the parameters in one place, `_resolve`.  The raw index listings
+that assign multipliers and exterior centers family-by-family are kept
+verbatim, defects included, so the conflict scanner can rediscover each
 documented erratum.
 """
 
@@ -66,64 +70,30 @@ def check_prime(p):
     return _prime(p, 5, "p must be a prime greater than 3")
 
 
-class FamilySpec(_Value):
-    """A value record for one catalog row: family id, parameter slots,
-    and k-subcase."""
-
-    __slots__ = _fields = ("id", "family", "params", "k_case")
-
-    def __init__(self, id, family, params, k_case=None):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "k_case", k_case)
-
-
-def _spec_for_row(row_id):
-    data = _data()
-    row = data["rows"][row_id]
-    fam = row["family"]
-    return FamilySpec(id=row_id, family=fam,
-                      params=tuple(data["families"][fam]["params"]),
-                      k_case=row["k_case"])
-
-
-@lru_cache(maxsize=1)
 def list_families():
-    """All 72 catalog rows, in table order."""
-    return tuple(_spec_for_row(r) for r in _data()["row_order"])
+    """The ids of all 72 catalog rows, in table order."""
+    return tuple(_data()["row_order"])
 
 
-def _normalize_id(family):
-    if isinstance(family, FamilySpec):
-        return family.id
+def row_id(family):
+    """The catalog id that `family` names, or BadParam.
+
+    Takes a row id ("29", "11,2"), an alias ("G29a", "12k", "48.1") or a
+    bare family number (11 or "48"); a bare 11 or 48 stays bare, and the
+    value of k picks its row when the group is built.
+    """
     s = str(family).strip().replace(" ", "").replace(".", ",")
     if s[:1] in ("G", "g"):
         s = s[1:]
     s = s.lstrip("_")
+    data = _data()
+    fams = data["families"]
     # trailing parameter letters ("12k", "29a", "33b") name the slot,
     # not a distinct row
-    if len(s) > 1 and s[-1] in "kab" and s[:-1].isdigit():
-        base = s[:-1]
-        fams = _data()["families"]
-        if base in fams and s[-1] in fams[base]["params"]:
-            s = base
-    return s
-
-
-def family_spec(family):
-    """Resolve a family id (row id, bare family number, or spec)."""
-    if isinstance(family, FamilySpec):
-        return family
-    s = _normalize_id(family)
-    data = _data()
-    if s in data["rows"]:
-        return _spec_for_row(s)
-    if s in ("11", "48"):
-        # bare id: the k value picks the row at build time
-        return FamilySpec(id=s, family=s,
-                          params=tuple(data["families"][s]["params"]),
-                          k_case=None)
+    if len(s) > 1 and s[:-1] in fams and s[-1] in fams[s[:-1]]["params"]:
+        s = s[:-1]
+    if s in data["rows"] or s in fams:
+        return s
     raise BadParam(f"unknown family {family!r}")
 
 
@@ -135,36 +105,6 @@ def _as_int(value, name):
             raise BadParam(f"{name} must be an integer, got {value!r}") \
                 from None
     return value
-
-
-def _resolve_params(spec, p, given):
-    given = dict(given or {})
-    unknown = sorted(set(given) - set(spec.params))
-    if unknown:
-        allowed = ", ".join(spec.params) if spec.params else "none"
-        raise BadParam(f"family {spec.id} takes no parameter "
-                       f"{unknown[0]!r} (allowed: {allowed})")
-    out = {}
-    for name in spec.params:
-        if name == "k":
-            half = (p - 1) // 2
-            k = given.get("k")
-            if k is None:
-                k = half if spec.k_case == "half" else 1
-            k = _as_int(k, "k")
-            if not 1 <= k <= half:
-                raise BadParam(f"k must lie in 1..{half} for p = {p}, "
-                               f"got {k}")
-            if spec.k_case == "half" and k != half:
-                raise BadParam(f"row {spec.id} requires k = {half} "
-                               f"for p = {p}")
-            if spec.k_case == "other" and k == half:
-                raise BadParam(f"row {spec.id} requires k != {half}; "
-                               f"k = {half} belongs to {spec.family},2")
-            out["k"] = k
-        else:
-            out[name] = _as_int(given.get(name, 1), name)
-    return out
 
 
 def _eval_exp(expr, p, w, params):
@@ -203,10 +143,39 @@ def _build_cached(fid, p, param_items):
 
 
 def _resolve(family, p, params):
-    """The spec, p as an int and the parameter values at p, or BadParam."""
-    spec = family_spec(family)
-    p = check_prime(p)
-    return spec, p, _resolve_params(spec, p, params)
+    """The row id, its family, p as an int and the parameter values at p,
+    or BadParam.  A bare 11 or 48 resolves to the row that k selects."""
+    rid, p, given = row_id(family), check_prime(p), dict(params or {})
+    data = _data()
+    row = data["rows"].get(rid, {"family": rid, "k_case": None})
+    fam, k_case = row["family"], row["k_case"]
+    names = data["families"][fam]["params"]
+    unknown = sorted(set(given) - set(names))
+    if unknown:
+        allowed = ", ".join(names) if names else "none"
+        raise BadParam(f"family {rid} takes no parameter "
+                       f"{unknown[0]!r} (allowed: {allowed})")
+    half = (p - 1) // 2
+    vals = {}
+    for name in names:
+        if name != "k":
+            vals[name] = _as_int(given.get(name, 1), name)
+            continue
+        k = given.get("k")
+        if k is None:
+            k = half if k_case == "half" else 1
+        k = _as_int(k, "k")
+        if not 1 <= k <= half:
+            raise BadParam(f"k must lie in 1..{half} for p = {p}, got {k}")
+        if k_case == "half" and k != half:
+            raise BadParam(f"row {rid} requires k = {half} for p = {p}")
+        if k_case == "other" and k == half:
+            raise BadParam(f"row {rid} requires k != {half}; "
+                           f"k = {half} belongs to {fam},2")
+        vals["k"] = k
+    if rid not in data["rows"]:
+        rid = f"{fam},{2 if vals['k'] == half else 1}"
+    return rid, fam, p, vals
 
 
 def build(family, p, params=None):
@@ -216,8 +185,8 @@ def build(family, p, params=None):
     InconsistentPresentation if the instantiated relations fail the
     overlap checks (which would indicate corrupted template data).
     """
-    spec, p, vals = _resolve(family, p, params)
-    return _build_cached(spec.family, p, tuple(sorted(vals.items())))
+    _, fam, p, vals = _resolve(family, p, params)
+    return _build_cached(fam, p, tuple(sorted(vals.items())))
 
 
 class ExpectedRecord(_Record):
@@ -280,25 +249,17 @@ _ERRATUM_FIELD = {
 }
 
 
-def _row_for(spec, p, vals):
-    if spec.id in _data()["rows"]:
-        return spec.id
-    half = (p - 1) // 2
-    return f"{spec.family},{2 if vals.get('k') == half else 1}"
-
-
 def expected_record(family, p, params=None):
     """The expected invariant values for a family instantiated at p."""
-    spec, p, vals = _resolve(family, p, params)
-    row_id = _row_for(spec, p, vals)
-    row = _data()["rows"][row_id]
+    rid, _, p, vals = _resolve(family, p, params)
+    row = _data()["rows"][rid]
     sources = {f: "structure table" for f in _STRUCTURE_FIELDS}
     sources.update({f: "tensor table" for f in _TENSOR_FIELDS})
     for entry in errata():
-        if entry.field and row_id in entry.rows:
+        if entry.field and rid in entry.rows:
             sources[entry.field] += f" (see erratum {entry.slug})"
     return ExpectedRecord(
-        row=row_id, p=p, params=vals,
+        row=rid, p=p, params=vals,
         cl=row["class"],
         multiplier=tuple(row["multiplier"]),
         center=tuple(row["center"]),
@@ -344,8 +305,9 @@ def errata():
 
 
 def errata_for(family):
-    row_id = _normalize_id(family)
-    return tuple(e for e in errata() if row_id in e.rows)
+    """The errata that name the row `family`."""
+    rid = row_id(family)
+    return tuple(e for e in errata() if rid in e.rows)
 
 
 def multiplier_index_raw():
@@ -376,10 +338,10 @@ class IndexConflict(_Value):
         object.__setattr__(self, "erratum", erratum)
 
 
-def _conflict_slug(index, row_id):
+def _conflict_slug(index, rid):
     tag = f"{index} index"
     for entry in errata():
-        if row_id in entry.rows and tag in entry.sources:
+        if rid in entry.rows and tag in entry.sources:
             return entry.slug
     return None
 
@@ -393,17 +355,16 @@ def raw_index_conflicts():
     """
     data = _data()
     out = []
-    scans = (("multiplier", "multiplier_index_raw", "multiplier"),
-             ("epicenter", "epicenter_index_raw", "wedge_center"))
-    for index, raw_key, col in scans:
+    scans = (("multiplier", multiplier_index_raw(), "multiplier"),
+             ("epicenter", epicenter_index_raw(), "wedge_center"))
+    for index, raw, col in scans:
         listed = {}
-        for entry in data[raw_key]:
-            t = tuple(entry["type"])
-            for r in entry["rows"]:
+        for t, rows in raw:
+            for r in rows:
                 listed.setdefault(r, []).append(t)
-        for row_id in data["row_order"]:
-            resolved = tuple(data["rows"][row_id][col])
-            types = listed.get(row_id, [])
+        for rid in data["row_order"]:
+            resolved = tuple(data["rows"][rid][col])
+            types = listed.get(rid, [])
             if not types:
                 kind = "missing"
             elif len(types) > 1:
@@ -413,8 +374,8 @@ def raw_index_conflicts():
                 kind = "type-mismatch"
             else:
                 continue
-            out.append(IndexConflict(index=index, kind=kind, row=row_id,
+            out.append(IndexConflict(index=index, kind=kind, row=rid,
                                      listed=tuple(types),
                                      resolved=resolved,
-                                     erratum=_conflict_slug(index, row_id)))
+                                     erratum=_conflict_slug(index, rid)))
     return tuple(out)

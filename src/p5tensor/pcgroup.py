@@ -727,8 +727,12 @@ def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
     With s_j^p = prod_(l > j) s_l^c_l over the pc sequence s_1..s_m, the
     rows p e_j - c span the relations among the s_j: they lie in the
     relation lattice and their triangular matrix has determinant p^m,
-    the order of the subgroup.
+    the order of the subgroup.  H must be a subgroup of P itself: its
+    sequence is in P's normal forms, so another presentation would read
+    it wrongly, and raises ValueError.
     """
+    if H._P is not P:
+        raise ValueError("H is a subgroup of another presentation")
     p, seq = P.prime, H.generators
     # pairwise commuting generators span an abelian group
     for a, x in enumerate(seq):

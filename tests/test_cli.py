@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,10 @@ def test_verify_flags_a_corrupted_table(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "--prime", "5", "--family", "5")
     assert rc == 1
     assert "row 5" in out and "FAIL" in out
+    # the row fails, but every index conflict is still documented
+    summary = [x for x in out.splitlines() if re.match(r"  \d+ conflicts", x)]
+    assert len(summary) == 1 and "all documented: " in summary[0]
+    assert "multiplier-index-duplicate-12" in summary[0]
 
 
 def test_group_refuses_a_corrupted_template(capsys, monkeypatch):

@@ -14,18 +14,21 @@ from p5tensor import (
     errata,
     errata_for,
     expected_record,
-    family_spec,
+    families,
     list_families,
     multiplier_index_raw,
     primitive_root,
     raw_index_conflicts,
+    row_id,
 )
 
-ALL_ROWS = [s.id for s in list_families()]
+ALL_ROWS = list(list_families())
 
 
 def test_row_inventory():
     assert len(ALL_ROWS) == 72
+    assert ALL_ROWS == families._data()["row_order"]
+    assert all(type(r) is str for r in ALL_ROWS)
     assert ALL_ROWS[0] == "1"
     assert "11,1" in ALL_ROWS and "11,2" in ALL_ROWS
     assert "48,1" in ALL_ROWS and "48,2" in ALL_ROWS
@@ -37,13 +40,15 @@ def test_row_inventory():
     ("48.1", "48,1"), ("G11,2", "11,2"), (" 7 ", "7"), (11, "11"),
 ])
 def test_family_id_normalization(alias, fid):
-    assert family_spec(alias).id == fid
+    assert row_id(alias) == fid
 
 
 @pytest.mark.parametrize("bogus", ["71", "0", "twelve", "11,3", "29k"])
 def test_unknown_family_rejected(bogus):
     with pytest.raises(BadParam):
-        family_spec(bogus)
+        row_id(bogus)
+    with pytest.raises(BadParam):
+        errata_for(bogus)
 
 
 def test_bare_row_resolves_by_parameter():

@@ -221,8 +221,8 @@ def test_generated_json_validates_against_the_schema(capsys, monkeypatch):
         for key in ("computed", "expected"):
             assert list(doc[key]) == schema["properties"][key]["required"]
 
-    for spec in list_families():
-        rec = compute_record(spec.id, 5)
+    for rid in list_families():
+        rec = compute_record(rid, 5)
         validate(rec)
         check(rec.to_json_dict())
     # failing verdicts, one of them with an erratum note
@@ -242,10 +242,10 @@ def test_generated_json_validates_against_the_schema(capsys, monkeypatch):
 
 
 def test_every_row_passes_at_a_large_prime():
-    for spec in list_families():
-        rec = compute_record(spec.id, 101)
+    for rid in list_families():
+        rec = compute_record(rid, 101)
         validate(rec)
-        assert rec.ok, spec.id
+        assert rec.ok, rid
 
 
 def _spans_the_same(a, b):
@@ -283,13 +283,13 @@ def test_compute_record_computes_each_invariant_once(monkeypatch, p):
     monkeypatch.setattr(pcgroup, "_closure", counting_closure)
     monkeypatch.setattr(pcgroup, "_order",
                         counting("order", pcgroup._order))
-    for spec in list_families():
+    for rid in list_families():
         calls.clear()
-        compute_record(spec.id, p)
-        assert calls.get("ab") == 1, spec.id
-        assert calls.get("derived") == 1, spec.id
+        compute_record(rid, p)
+        assert calls.get("ab") == 1, rid
+        assert calls.get("derived") == 1, rid
         # one exponent: the orders of the five pc generators
-        assert calls.get("order", 0) <= 5, spec.id
+        assert calls.get("order", 0) <= 5, rid
 
 
 def test_compute_record_collector_calls_stay_under_the_gate(monkeypatch):
@@ -308,35 +308,38 @@ def test_compute_record_collector_calls_stay_under_the_gate(monkeypatch):
 
     families._build_cached.cache_clear()
     monkeypatch.setattr(pcgroup, "_collect_into", counting)
-    for spec in list_families():
-        compute_record(spec.id, 7)
+    for rid in list_families():
+        compute_record(rid, 7)
     assert calls <= 11_500
 
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_lower_central_series_starts_from_the_derived_subgroup(p):
     gens = [generator(i) for i in range(1, 6)]
-    for spec in list_families():
-        P = build(spec.id, p)
+    for rid in list_families():
+        P = build(rid, p)
         # G' by another route: the normal closure of every [g_a, g_i]
         direct = normal_closure([commutator(a, b, P) for a in gens
                                  for b in gens], P)
         gamma2 = lower_central_series(P)[1]
-        assert _spans_the_same(gamma2, derived_subgroup(P)), spec.id
-        assert _spans_the_same(gamma2, direct), spec.id
+        assert _spans_the_same(gamma2, derived_subgroup(P)), rid
+        assert _spans_the_same(gamma2, direct), rid
 
 
-def parameter_values(spec, p):
+def parameter_values(rid, p):
     """Every value of each parameter that the row accepts at p: k over
     1..(p-1)/2 within the row's subcase, a and b (exponents of the
-    primitive root) over 0..p-2."""
+    primitive root) over 0..p-2.  The catalog row gives the family's
+    parameter names and the k-subcase."""
+    data = families._data()
+    row = data["rows"][rid]
     half = (p - 1) // 2
-    for name in spec.params:
+    for name in data["families"][row["family"]]["params"]:
         if name != "k":
             values = range(p - 1)
-        elif spec.k_case == "half":
+        elif row["k_case"] == "half":
             values = [half]
-        elif spec.k_case == "other":
+        elif row["k_case"] == "other":
             values = range(1, half)
         else:
             values = range(1, half + 1)
@@ -346,11 +349,11 @@ def parameter_values(spec, p):
 
 def test_every_parameter_value_passes_at_p13():
     count = 0
-    for spec in list_families():
-        for params in parameter_values(spec, 13):
-            rec = compute_record(spec.id, 13, params)
+    for rid in list_families():
+        for params in parameter_values(rid, 13):
+            rec = compute_record(rid, 13, params)
             validate(rec)
-            assert rec.ok, (spec.id, params)
+            assert rec.ok, (rid, params)
             count += 1
     assert count == 66
 
@@ -358,7 +361,7 @@ def test_every_parameter_value_passes_at_p13():
 @pytest.mark.slow
 def test_every_row_passes_at_every_prime_up_to_101():
     for p in (q for q in range(5, 102) if _is_prime(q)):
-        for spec in list_families():
-            rec = compute_record(spec.id, p)
+        for rid in list_families():
+            rec = compute_record(rid, p)
             validate(rec)
-            assert rec.ok, (spec.id, p)
+            assert rec.ok, (rid, p)

@@ -368,6 +368,13 @@ def test_center_type_worked_example():
     assert abelian_invariants_of(center(P), P) == (2, 1)
 
 
+def test_abelian_invariants_refuse_another_presentation():
+    # Z(G) of row 70 is abelian, but its sequence means nothing in row 14
+    with pytest.raises(ValueError, match="another presentation") as exc:
+        abelian_invariants_of(center(build("70", P5)), build("14", 7))
+    assert not isinstance(exc.value, NotAbelian)
+
+
 def test_series_and_class():
     assert nilpotency_class(cyclic_tower()) == 1
     assert nilpotency_class(heisenberg()) == 2
@@ -386,7 +393,7 @@ def test_exponent_values():
 
 # --- reference routes (test oracles, not runtime routes) ------------------
 
-ALL_ROWS = [s.id for s in list_families()]
+ALL_ROWS = list(list_families())
 VARIANTS_P7 = [("11", {"k": 2}), ("12", {"k": 2}), ("48", {"k": 2}),
                ("50", {"k": 2}), ("29", {"a": 2}), ("33", {"b": 2})]
 

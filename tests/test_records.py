@@ -11,7 +11,6 @@ import pytest
 from p5tensor import (
     ErratumEntry,
     ExpectedRecord,
-    FamilySpec,
     IndexConflict,
     InvariantRecord,
     TensorStructure,
@@ -46,8 +45,6 @@ def test_import_loads_no_record_or_resource_machinery():
 # each frozen record: its fields in order, and one value per field
 FROZEN = [
     (TensorStructure, ("abelian_part", "e1_factor"), ((2, 1), True)),
-    (FamilySpec, ("id", "family", "params", "k_case"),
-     ("11,2", "11", ("k",), "half")),
     (ErratumEntry, ("slug", "rows", "sources", "description", "resolution",
                     "field"),
      ("center-type-68", ("68",), ("structure table",), "wrong type",
@@ -87,7 +84,6 @@ def test_frozen_record_is_a_value(cls, names, values):
 def test_record_defaults_and_canonical_form():
     assert TensorStructure((1, 2, 2)).abelian_part == (2, 2, 1)
     assert TensorStructure((1,)).e1_factor is False
-    assert FamilySpec("1", "1", ()).k_case is None
     assert Verdict("ab", True, "ok").errata == ()
     assert repr(Verdict("center", False, "computed (1,), expected (2,)",
                         ("center-type-68",))) == (
