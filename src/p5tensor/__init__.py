@@ -8,11 +8,11 @@ from .abelian import (
     EvenOrderUnsupported,
     TensorStructure,
     canon,
+    cokernel_type,
     direct_sum,
     format_type,
     gamma,
     order_exponent,
-    snf,
     tensor_ab,
     type_from_order_census,
     wedge_ab,

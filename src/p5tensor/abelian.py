@@ -14,8 +14,10 @@ tensor cross-term,
 
 Iterating that identity over the cyclic factors of A gives the closed form
 implemented below.  Everything is cross-checked by the independent oracles
-in `oracles` (relation matrix SNF for the tensor, a concrete quadratic model
-for gamma, order counting for the invariant-factor extraction).
+in `oracles` (a relation matrix for the tensor, a concrete quadratic model
+for gamma, order counting against `cokernel_type`).  `cokernel_type` is the
+one Smith form of the package: an elimination over Z/p^6, which suffices
+because every group it reads has order dividing p^5.
 """
 
 from __future__ import annotations
@@ -123,109 +125,56 @@ def gamma(a: AbelianType, prime: int | None = None) -> AbelianType:
     return direct_sum(a, wedge_ab(a))
 
 
-def snf(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Smith normal form diagonal of an integer matrix.
+def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
+    """Type of Z^n / <rows>, computed modulo p^6 (n is the row length).
 
-    Returns the invariant-factor chain d1 | d2 | ... (non-negative,
-    length min(rows, cols)); the cokernel of the matrix as a map on
-    column vectors is  Z^cols / rows  =  sum of Z_{d_i}  plus a free
-    summand for each zero.  Plain integer row/column reduction; Python
-    ints make overflow a non-issue.
+    Elimination over Z/p^6: pivot on an entry of least p-valuation v,
+    scale its row so the pivot is p^v, clear the pivot's column from the
+    other rows, and drop the row and the column; the pivot gives a part
+    v.  No column operation is needed, since every other entry of the
+    pivot row is a multiple of p^v.  A column that never gets a pivot
+    gives a part 6.
 
-    >>> snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    [1, 1, 1]
-    >>> snf([[2, 0], [0, 3]])
-    [1, 6]
-    >>> snf([[5, 0], [0, 25], [0, 0]])
-    [5, 25]
-    """
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    t = 0
-    while t < m and t < n:
-        # pivot: nonzero entry of least magnitude in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        # clear row and column t by euclidean steps; the pivot magnitude
-        # strictly drops every time a remainder appears, so this terminates
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility fix-up: fold any non-multiple into column t and redo
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(t, n):
-                a[t][j] += a[bad][j]
-            continue
-        if a[t][t] < 0:
-            for j in range(t, n):
-                a[t][j] = -a[t][j]
-        t += 1
-    diag = [a[i][i] if i < n else 0 for i in range(min(m, n))]
-    return [abs(d) for d in diag]
+    The result is the type of C / p^6 C for the cokernel C: its p-part
+    with every part capped at 6, and a free factor read as 6.  Every
+    cokernel reduced in this package (G^ab and the abelian subgroups of
+    G) has order dividing p^5, so a part of 6 means the relations do not
+    present such a group.  Entries stay below p^6, so nothing grows.
 
-
-def p_type_from_factors(factors: Iterable[int], prime: int) -> AbelianType:
-    """Partition of p-exponents from an invariant-factor chain.
-
-    Units are dropped; every remaining factor must be a power of `prime`
-    (zero would mean an infinite cokernel and is rejected).
-
-    >>> p_type_from_factors([1, 5, 25], 5)
+    >>> cokernel_type([[5, 0], [0, 25]], 5)
     (2, 1)
+    >>> cokernel_type([[2, 4], [6, 3]], 3)
+    (2,)
+    >>> cokernel_type([[1, 0, 5]], 5)
+    (6, 6)
     """
-    exps = []
-    for d in factors:
-        d = int(d)
-        if d == 0:
-            raise ValueError("infinite cokernel: zero invariant factor")
-        e = 0
-        while d % prime == 0:
-            d //= prime
-            e += 1
-        if d != 1:
-            raise ValueError(f"invariant factor not a power of {prime}")
-        if e:
-            exps.append(e)
-    return canon(exps)
+    q = prime**6
+    live = [[int(x) % q for x in row] for row in rows]
+    cols = list(range(len(live[0]) if live else 0))
+    parts = []
+    while cols:
+        # the least v with an entry that p^(v+1) does not divide is the
+        # least valuation
+        for v in range(6):
+            m = prime ** (v + 1)
+            hit = next(((i, j) for i, row in enumerate(live)
+                        for j in cols if row[j] % m), None)
+            if hit is not None:
+                break
+        else:
+            parts += [6] * len(cols)
+            break
+        i, j = hit
+        pv = prime**v
+        scale = pow(live[i][j] // pv, -1, q)
+        pivot = [x * scale % q for x in live.pop(i)]
+        for row in live:
+            c = row[j] // pv
+            if c:
+                row[:] = [(x - c * y) % q for x, y in zip(row, pivot)]
+        cols.remove(j)
+        parts.append(v)
+    return canon(parts)
 
 
 def type_from_order_census(counts: Sequence[int], prime: int) -> AbelianType:
@@ -263,7 +212,8 @@ def type_from_order_census(counts: Sequence[int], prime: int) -> AbelianType:
 
 
 def ab_from_presentation(pres) -> AbelianType:
-    """Abelianization of a power-commutator presentation, via SNF.
+    """Abelianization of a power-commutator presentation, via
+    `cokernel_type`.
 
     Each power relation g_i^p = tail contributes the row p*e_i - tail;
     each commutator relation forces its tail to vanish.  The cokernel of
@@ -281,7 +231,10 @@ def ab_from_presentation(pres) -> AbelianType:
     for tail in pres.comm_tails.values():
         if any(tail):
             rows.append(list(tail))
-    return p_type_from_factors((d for d in snf(rows) if d != 1), p)
+    parts = cokernel_type(rows, p)
+    if 6 in parts:
+        raise ValueError("infinite cokernel: relations miss a generator")
+    return parts
 
 
 def format_type(a: AbelianType, prime: int | None = None) -> str:

@@ -80,9 +80,10 @@ def row_id(family):
 
     Takes a row id ("29", "11,2"), an alias ("G29a", "12k", "48.1") or a
     bare family number (11 or "48"); a bare 11 or 48 stays bare, and the
-    value of k picks its row when the group is built.
+    value of k picks its row when the group is built.  Outer whitespace
+    is stripped, inner spaces are not: "1 1" is no id.
     """
-    s = str(family).strip().replace(" ", "").replace(".", ",")
+    s = str(family).strip().replace(".", ",")
     if s[:1] in ("G", "g"):
         s = s[1:]
     s = s.lstrip("_")

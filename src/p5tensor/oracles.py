@@ -3,12 +3,13 @@ and as `verify`'s oracle spot checks.
 
 Nothing here reuses the closed-form rules it is meant to test, and
 nothing enumerates a group, so every check runs at any prime.  The
-tensor oracle grinds a relation matrix through Smith normal form; the
+tensor oracle reduces a relation matrix with `cokernel_type`; the
 quadratic-map checks evaluate an explicit polynomial model on random
 inputs and measure the subgroup that the images of a spanning witness
-set generate; the census check pits order counting, one cyclic factor
-at a time, against Smith normal form on scrambled relation matrices of
-the same random group.
+set generate, by `cokernel_order`, an echelon form over Z that shares
+no step with `cokernel_type`; the census check pits order counting,
+one cyclic factor at a time, against `cokernel_type` on scrambled
+relation matrices of the same random group.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from .abelian import (
     EvenOrderUnsupported,
     _Value,
     canon,
+    cokernel_type,
     gamma,
     order_exponent,
-    p_type_from_factors,
-    snf,
     type_from_order_census,
 )
 
@@ -56,10 +56,13 @@ def bilinear_tensor_oracle(a: AbelianType, b: AbelianType,
 
     Generators e_ij for the pairs of cyclic factors, relations
     p^a_i e_ij and p^b_j e_ij; the cokernel of the relation matrix is
-    read off its Smith normal form.  Slower than the min rule, and
-    deliberately so.
+    read off `cokernel_type`.  Slower than the min rule, and
+    deliberately so.  That reads parts up to 5, so a larger part of a
+    or b raises ValueError.
     """
     a, b = canon(a), canon(b)
+    if max(a + b, default=0) > 5:
+        raise ValueError("a part above 5 is beyond cokernel_type")
     if not a or not b:
         return ()
     pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
@@ -72,11 +75,48 @@ def bilinear_tensor_oracle(a: AbelianType, b: AbelianType,
         row = [0] * cols
         row[c] = prime**b[j]
         rows.append(row)
-    return p_type_from_factors(snf(rows), prime)
+    return cokernel_type(rows, prime)
+
+
+def cokernel_order(rows, cols: int) -> int:
+    """|Z^cols / <rows>|, or 0 when the quotient is infinite.
+
+    Row operations only: Euclid's algorithm down each column leaves one
+    row with a nonzero entry there, the pivot, and the order is the
+    product of the pivots of that echelon form over Z.
+
+    >>> cokernel_order([[2, 4], [6, 3]], 2)
+    18
+    >>> cokernel_order([[45, 0], [0, 21], [3, 7]], 2)
+    63
+    >>> cokernel_order([[1, 2]], 2)
+    0
+    """
+    live = [[int(x) for x in row] for row in rows]
+    order = 1
+    for c in range(cols):
+        while True:
+            hits = [row for row in live if row[c]]
+            if not hits:
+                return 0
+            pivot = min(hits, key=lambda row: abs(row[c]))
+            if len(hits) == 1:
+                break
+            for row in hits:
+                if row is not pivot:
+                    k = row[c] // pivot[c]
+                    row[:] = [x - k * y for x, y in zip(row, pivot)]
+        live.remove(pivot)
+        order *= abs(pivot[c])
+    return order
 
 
 def subgroup_order(rows, moduli) -> int:
-    """Order of the subgroup of ⊕ Z_m generated by the given value rows."""
+    """Order of the subgroup of ⊕ Z_m generated by the given value rows.
+
+    >>> subgroup_order([(3, 7)], (45, 21))
+    15
+    """
     moduli = [int(m) for m in moduli]
     cols = len(moduli)
     mat = [list(int(x) for x in r) for r in rows]
@@ -84,11 +124,7 @@ def subgroup_order(rows, moduli) -> int:
         amb = [0] * cols
         amb[c] = moduli[c]
         mat.append(amb)
-    ambient = math.prod(moduli)
-    coker = math.prod(snf(mat)[:cols])
-    if coker == 0:
-        raise ValueError("ambient relations missing; subgroup not finite")
-    return ambient // coker
+    return math.prod(moduli) // cokernel_order(mat, cols)
 
 
 class QuadraticModel:
@@ -274,7 +310,7 @@ def _torsion_count(moduli, q: int) -> int:
 
 def counting_vs_snf(trials: int = 200, seed=None,
                     primes=(3, 5, 7)) -> OracleReport:
-    """Order census versus Smith normal form on random abelian p-groups.
+    """Order census versus `cokernel_type` on random abelian p-groups.
 
     Each trial draws a partition of at most three parts, each at most
     3, then recovers it twice: by counting p^k-torsion, and by reducing
@@ -305,11 +341,11 @@ def counting_vs_snf(trials: int = 200, seed=None,
         u, v = _random_unimodular(r, rng), _random_unimodular(r, rng)
         scrambled = [[sum(x * m * y for x, m, y in zip(row, moduli, col))
                       for col in zip(*v)] for row in u]
-        by_snf = p_type_from_factors(snf(scrambled), p)
+        by_form = cokernel_type(scrambled, p)
 
-        if by_census != target or by_snf != target:
+        if by_census != target or by_form != target:
             failures.append(
                 f"trial {t}: target {target}, census {by_census}, "
-                f"snf {by_snf}")
+                f"normal form {by_form}")
     return OracleReport(ok=not failures, checked=trials,
                         failures=tuple(failures))

@@ -55,8 +55,8 @@ two pc generators is never collected: the presentation keeps them in
 one table, read by `_comm`, the only route to a commutator (G' is the
 normal closure of the tails, memoised on the presentation).  The
 exponent is p times the largest order of the five power tails, since
-g_i^p = tail_i.  The type of an abelian subgroup is the Smith normal
-form of its relative power relations.
+g_i^p = tail_i.  The type of an abelian subgroup is the Smith form of
+its relative power relations, taken modulo p^6.
 
 The tests hold all of this against an independent p^5 multiplication
 table, built by a different recursion: the collector against the table
@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import operator
 
-from .abelian import AbelianType, p_type_from_factors, snf
+from .abelian import AbelianType, cokernel_type
 
 Element = tuple  # 5 exponents, each in [0, p)
 
@@ -721,8 +721,8 @@ def exponent(P: PcPresentation) -> int:
 
 
 def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
-    """Isomorphism type of an abelian subgroup, from the SNF of its
-    relative power relations.
+    """Isomorphism type of an abelian subgroup, from the Smith form of
+    its relative power relations, taken modulo p^6.
 
     With s_j^p = prod_(l > j) s_l^c_l over the pc sequence s_1..s_m, the
     rows p e_j - c span the relations among the s_j: they lie in the
@@ -749,4 +749,7 @@ def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
             if e:
                 row[column[d]] -= e - p
         rows.append(row)
-    return p_type_from_factors(snf(rows), p)
+    parts = cokernel_type(rows, p)
+    if 6 in parts:
+        raise ValueError("infinite cokernel: relations miss a generator")
+    return parts

@@ -1,25 +1,28 @@
-"""Partition calculus: canonical forms, functors, SNF, census recovery."""
+"""Partition calculus: canonical forms, functors, the Smith form modulo
+p^6, census recovery."""
 
 import doctest
+import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p5tensor import abelian
+from p5tensor import abelian, oracles
 from p5tensor.abelian import (
     EvenOrderUnsupported,
     ab_from_presentation,
     canon,
+    cokernel_type,
     direct_sum,
     format_type,
     gamma,
     order_exponent,
-    p_type_from_factors,
-    snf,
     tensor_ab,
     type_from_order_census,
     wedge_ab,
 )
+from p5tensor.oracles import cokernel_order
 from p5tensor.pcgroup import PcPresentation
 
 # small partitions, exponents at most 4, at most 4 parts
@@ -99,39 +102,67 @@ def test_gamma_rejects_even_order():
     assert gamma((1,), prime=7) == (1,)
 
 
-def test_snf_of_diagonal():
-    assert snf([[4, 0], [0, 6]]) == [2, 12]
-    assert snf([[0, 0], [0, 0]]) == [0, 0]
+def census_type(rows, p):
+    """Type of C = Z^n / <rows> from the census |C / p^k C|, k = 0, 1, ...,
+    each count the order of the cokernel of the rows stacked on p^k I."""
+    n = len(rows[0])
+    counts = [1]
+    while len(counts) < 2 or counts[-1] != counts[-2]:
+        q = p ** len(counts)
+        ambient = [[q * (i == j) for j in range(n)] for i in range(n)]
+        counts.append(cokernel_order(list(rows) + ambient, n))
+    return type_from_order_census(counts, p)
 
 
-def test_snf_divisibility_and_cokernel():
-    d = snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert len(d) == 3
-    for i in range(2):
-        if d[i + 1] != 0:
-            assert d[i] != 0 and d[i + 1] % d[i] == 0
+@st.composite
+def p_group_relations(draw):
+    """Dense rows with entries in [-60, 60] stacked on a diagonal of
+    p^1..p^3: the cokernel is a finite p-group."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(2, 5))
+    entry = st.integers(-60, 60)
+    dense = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=1, max_size=4))
+    diag = [p ** draw(st.integers(1, 3)) for _ in range(n)]
+    return p, dense + [[d * (i == j) for j in range(n)]
+                       for i, d in enumerate(diag)]
 
 
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-                min_size=1, max_size=4))
-@settings(max_examples=80)
-def test_snf_chain_divides(rows):
-    d = snf(rows)
-    assert all(x >= 0 for x in d)
-    for i in range(len(d) - 1):
-        if d[i] == 0:
-            assert d[i + 1] == 0
-        elif d[i + 1] != 0:
-            assert d[i + 1] % d[i] == 0
+@given(p_group_relations())
+@settings(max_examples=150, deadline=None)
+def test_cokernel_type_matches_census(case):
+    p, rows = case
+    assert cokernel_type(rows, p) == census_type(rows, p)
 
 
-def test_p_type_from_factors():
-    assert p_type_from_factors([1, 5, 25], 5) == (2, 1)
-    assert p_type_from_factors([], 7) == ()
-    with pytest.raises(ValueError):
-        p_type_from_factors([10], 5)
-    with pytest.raises(ValueError):
-        p_type_from_factors([0], 5)
+# dense rows on which an integer Smith form with Euclidean steps blows up:
+# its entries grow without bound, and it finished neither in 30 s
+HARD_CASES = [
+    (5, [[38, -13, 40, -6], [53, -57, 43, 37], [125, 0, 0, 0],
+         [0, 25, 0, 0], [0, 0, 125, 0], [0, 0, 0, 125]], (3, 2)),
+    (7, [[32, 3, -41, -24, 32], [19, 22, -42, -55, 45],
+         [46, 31, 54, 5, 20], [49, 0, 0, 0, 0], [0, 343, 0, 0, 0],
+         [0, 0, 343, 0, 0], [0, 0, 0, 343, 0], [0, 0, 0, 0, 7]], (2, 1)),
+]
+
+
+@pytest.mark.parametrize("p, rows, expected", HARD_CASES,
+                         ids=["p5", "p7"])
+def test_cokernel_type_on_dense_rows_is_fast(p, rows, expected):
+    t0 = time.perf_counter()
+    assert cokernel_type(rows, p) == expected
+    assert time.perf_counter() - t0 < 1.0
+    assert census_type(rows, p) == expected
+
+
+def test_cokernel_type_examples():
+    assert cokernel_type([[4, 0], [0, 6]], 3) == (1,)
+    assert cokernel_type([[25, 0], [0, 5], [0, 0]], 5) == (2, 1)
+    assert cokernel_type([[1, 3], [2, 1]], 5) == (1,)
+    assert cokernel_type([], 7) == ()
+    # a free column and a factor of order p^6 both read as 6
+    assert cokernel_type([[1, 0]], 5) == (6,)
+    assert cokernel_type([[5**7]], 5) == (6,)
 
 
 @given(partitions, st.sampled_from([3, 5, 7]))
@@ -162,6 +193,14 @@ def test_ab_from_presentation_kills_commutator_tails():
     assert ab_from_presentation(heis) == (1, 1, 1, 1)
 
 
+def test_ab_from_presentation_refuses_an_infinite_cokernel():
+    # tails g_i^p = g_i^p relate nothing, so the cokernel is Z^5
+    units = [tuple(5 * (i == j) for j in range(5)) for i in range(5)]
+    pres = types.SimpleNamespace(prime=5, power_tails=units, comm_tails={})
+    with pytest.raises(ValueError, match="infinite cokernel"):
+        ab_from_presentation(pres)
+
+
 def test_format_type_symbolic_and_numeric():
     assert format_type(()) == "1"
     assert format_type((2, 2, 1, 1, 1)) == "Z_{p^2}^2 + Z_p^3"
@@ -170,6 +209,7 @@ def test_format_type_symbolic_and_numeric():
 
 
 def test_docstring_examples():
-    result = doctest.testmod(abelian)
-    assert result.failed == 0
-    assert result.attempted == 21
+    for module, attempted in ((abelian, 20), (oracles, 4)):
+        result = doctest.testmod(module)
+        assert result.failed == 0, module.__name__
+        assert result.attempted == attempted, module.__name__

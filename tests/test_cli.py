@@ -148,6 +148,15 @@ def test_verify_unknown_family_prints_nothing_first(capsys):
     assert err == "error: unknown family '99'\n"
 
 
+@pytest.mark.parametrize("family", ("1 1", "4 8.2"))
+def test_verify_refuses_an_id_with_an_inner_space(capsys, family):
+    # the space is not dropped: "1 1" is not row 11
+    rc, out, err = run(capsys, "verify", "--prime", "7", "--family", family)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: unknown family {family!r}\n"
+
+
 @pytest.mark.parametrize("prime", ("4", "2", "-7"))
 def test_verify_bad_prime_prints_nothing_first(capsys, prime):
     rc, out, err = run(capsys, "verify", "--prime", prime)

@@ -37,13 +37,15 @@ def test_row_inventory():
 
 @pytest.mark.parametrize("alias, fid", [
     ("G29a", "29"), ("29a", "29"), ("12k", "12"), ("g33b", "33"),
-    ("48.1", "48,1"), ("G11,2", "11,2"), (" 7 ", "7"), (11, "11"),
+    ("48.1", "48,1"), ("G11,2", "11,2"), (" 7 ", "7"), (" 29 ", "29"),
+    (11, "11"),
 ])
 def test_family_id_normalization(alias, fid):
     assert row_id(alias) == fid
 
 
-@pytest.mark.parametrize("bogus", ["71", "0", "twelve", "11,3", "29k"])
+@pytest.mark.parametrize("bogus", ["71", "0", "twelve", "11,3", "29k",
+                                   "1 1", "4 8.2"])
 def test_unknown_family_rejected(bogus):
     with pytest.raises(BadParam):
         row_id(bogus)

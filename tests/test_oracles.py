@@ -34,6 +34,8 @@ def test_bilinear_oracle_spot_values():
     assert bilinear_tensor_oracle((2, 1), (1, 1), 5) == (1, 1, 1, 1)
     assert bilinear_tensor_oracle((3,), (2,), 7) == (2,)
     assert bilinear_tensor_oracle((), (3, 2), 5) == ()
+    with pytest.raises(ValueError, match="above 5"):
+        bilinear_tensor_oracle((6,), (1,), 5)
 
 
 def test_subgroup_order_in_cyclic_groups():

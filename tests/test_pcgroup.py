@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p5tensor import (ab_from_presentation, build, compute_record,
-                      list_families, pcgroup, validate)
+                      list_families, pcgroup, type_from_order_census,
+                      validate)
 from p5tensor.pcgroup import (
     IDENTITY,
     InconsistentPresentation,
@@ -373,6 +374,35 @@ def test_abelian_invariants_refuse_another_presentation():
     with pytest.raises(ValueError, match="another presentation") as exc:
         abelian_invariants_of(center(build("70", P5)), build("14", 7))
     assert not isinstance(exc.value, NotAbelian)
+
+
+def power_census_type(P, gens, relators=()):
+    """Type of the abelian A = <gens, relators>^G / <relators>^G, from the
+    census |A / p^k A| = |<gens, relators>^G| / |<gens^(p^k), relators>^G|,
+    k = 0, 1, ... (^G is the normal closure; p^k A is generated by the
+    images of the gens^(p^k) since A is abelian).  Closures and powers
+    only, no relation matrix."""
+    p, relators = P.prime, list(relators)
+    whole = normal_closure(list(gens) + relators, P).order
+    counts = [1]
+    while len(counts) < 2 or counts[-1] != counts[-2]:
+        q = p ** len(counts)
+        powers = [power(g, q, P) for g in gens]
+        counts.append(whole // normal_closure(powers + relators, P).order)
+    return type_from_order_census(counts, p)
+
+
+@pytest.mark.parametrize("p", (1009, 100003))
+def test_structure_types_match_a_power_census_at_large_p(p):
+    gens = [generator(i) for i in range(1, 6)]
+    for row in list_families():
+        P = build(row, p)
+        comms = [commutator(a, b, P) for a in gens for b in gens]
+        assert ab_from_presentation(P) == power_census_type(P, gens,
+                                                            comms), row
+        for sub in (center(P), derived_subgroup(P)):
+            assert (abelian_invariants_of(sub, P)
+                    == power_census_type(P, sub.generators)), row
 
 
 def test_series_and_class():
