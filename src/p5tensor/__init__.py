@@ -14,7 +14,6 @@ from .abelian import (
     gamma,
     order_exponent,
     tensor_ab,
-    type_from_order_census,
     wedge_ab,
     ab_from_presentation,
 )

@@ -13,15 +13,16 @@ tensor cross-term,
     gamma(A + B) = gamma(A) + gamma(B) + (A tensor B).
 
 Iterating that identity over the cyclic factors of A gives the closed form
-implemented below.  Everything is cross-checked by the independent oracles
-in `oracles` (a relation matrix for the tensor, a concrete quadratic model
-for gamma, order counting against `cokernel_type`).  `cokernel_type` is the
-one Smith form of the package: an elimination over Z/p^6, which suffices
-because every group it reads has order dividing p^5.
+implemented below.  The test suite cross-checks it with the independent
+oracles in `oracles` (a relation matrix for the tensor, a concrete
+quadratic model for gamma).  `cokernel_type` is the one Smith form of the
+package: an elimination over Z/p^6, which suffices because every group it
+reads has order dividing p^5.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 AbelianType = tuple  # non-increasing tuple of positive ints
@@ -35,6 +36,14 @@ class EvenOrderUnsupported(ValueError):
     """
 
 
+def _integer(value, message: str) -> int:
+    """operator.index(value): an int, never a truncated float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message}, got {value!r}") from None
+
+
 def canon(exponents: Iterable[int]) -> AbelianType:
     """Canonical form: drop zero parts, sort non-increasing.
 
@@ -45,7 +54,7 @@ def canon(exponents: Iterable[int]) -> AbelianType:
     """
     parts = []
     for e in exponents:
-        e = int(e)
+        e = _integer(e, "abelian type exponents must be integers")
         if e < 0:
             raise ValueError(f"negative exponent {e} in abelian type")
         if e > 0:
@@ -175,40 +184,6 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
         cols.remove(j)
         parts.append(v)
     return canon(parts)
-
-
-def type_from_order_census(counts: Sequence[int], prime: int) -> AbelianType:
-    """Recover a p-type from the census #{x : x^(p^k) = 1}, k = 0, 1, ...
-
-    For type (l1, l2, ...) the k-th count is p^(sum_i min(l_i, k)), so the
-    successive log differences are the conjugate partition.  `counts` must
-    start at k=0 (always 1) and continue until it stabilizes at |A|.
-
-    >>> type_from_order_census([1, 25, 125, 125], 5)
-    (2, 1)
-    """
-    logs = []
-    for c in counts:
-        c = int(c)
-        s = 0
-        while c % prime == 0:
-            c //= prime
-            s += 1
-        if c != 1:
-            raise ValueError("census count not a power of the prime")
-        logs.append(s)
-    if logs[0] != 0:
-        raise ValueError("census must start at k=0 with count 1")
-    if len(logs) < 2 or logs[-1] != logs[-2]:
-        raise ValueError("census did not stabilize; extend the range")
-    # m_k = #{i : l_i >= k}; the partition is its conjugate
-    mults = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-    if any(mults[k] < mults[k + 1] for k in range(len(mults) - 1)):
-        raise ValueError("census counts are not those of an abelian p-group")
-    exps = []
-    for j in range(mults[0] if mults else 0):
-        exps.append(sum(1 for m in mults if m > j))
-    return canon(exps)
 
 
 def ab_from_presentation(pres) -> AbelianType:

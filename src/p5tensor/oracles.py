@@ -1,5 +1,10 @@
-"""Independent cross-checks for the abelian calculus, run by the tests
-and as `verify`'s oracle spot checks.
+"""Independent cross-checks for the abelian calculus, run by the test
+suite only.
+
+The module stays under `src/` only because the benchmark's tracer
+(`perfbench/tracer.py`) imports it by name as one of its layers; no
+runtime module imports it.  It needs numpy, which the `test` extra
+installs.
 
 Nothing here reuses the closed-form rules it is meant to test, and
 nothing enumerates a group, so every check runs at any prime.  The
@@ -9,13 +14,15 @@ inputs and measure the subgroup that the images of a spanning witness
 set generate, by `cokernel_order`, an echelon form over Z that shares
 no step with `cokernel_type`; the census check pits order counting,
 one cyclic factor at a time, against `cokernel_type` on scrambled
-relation matrices of the same random group.
+relation matrices of the same random group, and reads the counts with
+`type_from_order_census`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,7 +34,6 @@ from .abelian import (
     cokernel_type,
     gamma,
     order_exponent,
-    type_from_order_census,
 )
 
 
@@ -284,6 +290,42 @@ def _random_points(rng: random.Random, moduli, count: int) -> np.ndarray:
     return (raw % np.array(moduli, dtype=np.uint64)).astype(np.int64)
 
 
+def type_from_order_census(counts: Sequence[int], prime: int) -> AbelianType:
+    """Recover a p-type from the census #{x : x^(p^k) = 1}, k = 0, 1, ...
+
+    For type (l1, l2, ...) the k-th count is p^(sum_i min(l_i, k)), so the
+    successive log differences are the conjugate partition.  `counts` must
+    start at k=0 (always 1) and continue until it stabilizes at |A|.
+
+    >>> type_from_order_census([1, 25, 125, 125], 5)
+    (2, 1)
+    """
+    logs = []
+    for c in counts:
+        c = int(c)
+        if c < 1:
+            raise ValueError(f"census count {c} is below 1")
+        s = 0
+        while c % prime == 0:
+            c //= prime
+            s += 1
+        if c != 1:
+            raise ValueError("census count not a power of the prime")
+        logs.append(s)
+    if logs[0] != 0:
+        raise ValueError("census must start at k=0 with count 1")
+    if len(logs) < 2 or logs[-1] != logs[-2]:
+        raise ValueError("census did not stabilize; extend the range")
+    # m_k = #{i : l_i >= k}; the partition is its conjugate
+    mults = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
+    if any(mults[k] < mults[k + 1] for k in range(len(mults) - 1)):
+        raise ValueError("census counts are not those of an abelian p-group")
+    exps = []
+    for j in range(mults[0] if mults else 0):
+        exps.append(sum(1 for m in mults if m > j))
+    return canon(exps)
+
+
 def _random_unimodular(r: int, rng: random.Random) -> list:
     m = [[int(i == j) for j in range(r)] for i in range(r)]
     for _ in range(4 * r):
@@ -308,8 +350,8 @@ def _torsion_count(moduli, q: int) -> int:
     return math.prod(sum(q * v % m == 0 for v in range(m)) for m in moduli)
 
 
-def counting_vs_snf(trials: int = 200, seed=None,
-                    primes=(3, 5, 7)) -> OracleReport:
+def counting_vs_cokernel_type(trials: int = 200, seed=None,
+                              primes=(3, 5, 7)) -> OracleReport:
     """Order census versus `cokernel_type` on random abelian p-groups.
 
     Each trial draws a partition of at most three parts, each at most

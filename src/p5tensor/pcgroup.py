@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import operator
 
-from .abelian import AbelianType, cokernel_type
+from .abelian import AbelianType, _integer, cokernel_type
 
 Element = tuple  # 5 exponents, each in [0, p)
 
@@ -101,14 +101,6 @@ class InconsistentPresentation(Exception):
 
 class NotAbelian(Exception):
     """Abelian invariants were requested for a non-abelian subgroup."""
-
-
-def _integer(value, message: str) -> int:
-    """operator.index(value): an int, never a truncated float."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{message}, got {value!r}") from None
 
 
 def _is_prime(n: int) -> bool:

@@ -20,7 +20,8 @@ define a group.
 
 import numpy as np
 
-from p5tensor.abelian import AbelianType, type_from_order_census
+from p5tensor.abelian import AbelianType
+from p5tensor.oracles import type_from_order_census
 from p5tensor.pcgroup import (
     IDENTITY,
     Element,

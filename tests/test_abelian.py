@@ -5,6 +5,7 @@ import doctest
 import time
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,10 +20,9 @@ from p5tensor.abelian import (
     gamma,
     order_exponent,
     tensor_ab,
-    type_from_order_census,
     wedge_ab,
 )
-from p5tensor.oracles import cokernel_order
+from p5tensor.oracles import cokernel_order, type_from_order_census
 from p5tensor.pcgroup import PcPresentation
 
 # small partitions, exponents at most 4, at most 4 parts
@@ -33,6 +33,19 @@ def test_canon_sorts_and_drops_zeros():
     assert canon([1, 3, 0, 2, 0]) == (3, 2, 1)
     assert canon([]) == ()
     assert canon((2, 2)) == (2, 2)
+
+
+@pytest.mark.parametrize("bad", ([2.7, 1], [1, 2.0], ["2", 1], [1, "x"]))
+def test_canon_refuses_non_integers(bad):
+    # a float is never truncated, and a string is never parsed
+    with pytest.raises(ValueError, match="must be integers"):
+        canon(bad)
+
+
+def test_canon_accepts_numpy_integers():
+    parts = canon(np.array([1, 0, 3], dtype=np.int64))
+    assert parts == (3, 1)
+    assert all(type(e) is int for e in parts)
 
 
 def test_direct_sum_merges():
@@ -179,6 +192,9 @@ def test_census_rejects_garbage():
         type_from_order_census([5, 5, 5], 5)  # k=0 count must be 1
     with pytest.raises(ValueError):
         type_from_order_census([1, 5, 125, 125], 5)  # concave violation
+    for counts in ([1, 0], [1, -5, -5]):  # p^k divides 0 for every k
+        with pytest.raises(ValueError, match="below 1"):
+            type_from_order_census(counts, 5)
 
 
 def test_ab_from_presentation_cyclic_tower():
@@ -209,7 +225,7 @@ def test_format_type_symbolic_and_numeric():
 
 
 def test_docstring_examples():
-    for module, attempted in ((abelian, 20), (oracles, 4)):
+    for module, attempted in ((abelian, 19), (oracles, 5)):
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__
         assert result.attempted == attempted, module.__name__

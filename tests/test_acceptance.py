@@ -22,7 +22,7 @@ from p5tensor.cli import main as cli_main
 from p5tensor.oracles import (
     QuadraticModel,
     bilinear_tensor_oracle,
-    counting_vs_snf,
+    counting_vs_cokernel_type,
     gamma_relation_check,
 )
 
@@ -236,7 +236,7 @@ def test_criterion_9_oracle_agreement(capsys):
         if not rep.ok:
             failures.append(("gamma", ms, rep.failures[:1]))
 
-    rep = counting_vs_snf(trials=1000, seed=2026)
+    rep = counting_vs_cokernel_type(trials=1000, seed=2026)
     if not rep.ok:
         failures.append(("counting", rep.failures[:1]))
 

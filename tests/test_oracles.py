@@ -16,7 +16,7 @@ from p5tensor.oracles import (
     _random_points,
     _torsion_count,
     bilinear_tensor_oracle,
-    counting_vs_snf,
+    counting_vs_cokernel_type,
     gamma_relation_check,
     subgroup_order,
 )
@@ -149,8 +149,8 @@ def test_gamma_relation_check_mixed_primes():
 
 
 def test_counting_vs_snf_clean_and_reproducible():
-    rep1 = counting_vs_snf(trials=120, seed=29)
-    rep2 = counting_vs_snf(trials=120, seed=29)
+    rep1 = counting_vs_cokernel_type(trials=120, seed=29)
+    rep2 = counting_vs_cokernel_type(trials=120, seed=29)
     assert rep1.ok, rep1.failures
     assert rep1.checked == 120
     assert rep1.failures == rep2.failures
@@ -172,3 +172,19 @@ def test_random_points_cover_each_modulus():
     assert pts.shape == (20_000, 2)
     for col, m in enumerate((7, 49)):
         assert sorted(set(pts[:, col].tolist())) == list(range(m))
+
+
+# the spot checks `verify` no longer runs, at every prime tier-1 verifies
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 1009, 100003))
+def test_quadratic_models_at_the_verified_primes(p):
+    for moduli, seed in (((p,), 1105), ((p * p, p), 1106)):
+        rep = gamma_relation_check(QuadraticModel(moduli), trials=2000,
+                                   seed=seed)
+        assert rep.ok, (moduli, rep.failures)
+        assert rep.checked == 2 * 2000 + 1
+
+
+def test_census_against_cokernel_type_at_small_primes():
+    rep = counting_vs_cokernel_type(trials=40, seed=1107, primes=(3, 5, 7))
+    assert rep.ok, rep.failures
+    assert rep.checked == 40

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p5tensor import (ab_from_presentation, build, compute_record,
-                      list_families, pcgroup, type_from_order_census,
-                      validate)
+                      list_families, pcgroup, validate)
+from p5tensor.oracles import type_from_order_census
 from p5tensor.pcgroup import (
     IDENTITY,
     InconsistentPresentation,
