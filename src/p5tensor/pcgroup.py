@@ -19,15 +19,17 @@ The collector works on syllables g_j^e, 1 <= e < p.  A syllable that
 meets a part w of the normal form it does not commute with lifts w off
 and pushes the conjugate w^(g_j^e) back as syllables, read from a memo
 that each presentation fills on demand: the dict entry (j, m, e, c)
-holds g_j^-e g_m^c g_j^e in normal form.  Conjugation by g_j^e is an
-automorphism phi_e of <g_(j+1), ...>, and phi_e = phi_(e-h) o phi_h, so
-an entry rests on O(log p) others (`_conjugate`), collected inside
-<g_(j+1), ...>, which reads only conjugates by higher generators: the
-memo fills itself without a cycle.  The work per syllable does not
-grow with p, and the memo holds only the entries that collection
-reaches (the overlaps of row 59 fill 488 at p = 1009 and 2147 at
-p = 100003), so an in-process `verify` peaks at 54 MB at p = 20011 and
-66 MB at p = 100003 (Python 3.11, x86_64).
+holds g_j^-e g_m^c g_j^e in normal form.  A syllable g_m^c of w with
+[g_m, g_j] = 1 is its own conjugate and goes back unchanged, so the memo
+holds entries of the pairs with [g_m, g_j] != 1 only.  Conjugation by
+g_j^e is an automorphism phi_e of <g_(j+1), ...>, and
+phi_e = phi_(e-h) o phi_h, so an entry rests on O(log p) others
+(`_conjugate`), collected inside <g_(j+1), ...>, which reads only
+conjugates by higher generators: the memo fills itself without a cycle.
+The work per syllable does not grow with p, and the memo holds only the
+entries that collection reaches (the overlaps of row 59 fill 157 at
+p = 1009 and 537 at p = 100003), so an in-process `verify` peaks at
+23 MB at p = 20011 and 27 MB at p = 100003 (Python 3.11, x86_64).
 
 The element operations (`multiply`, `inverse`, `conjugate`,
 `commutator`, `power`, `order_of`) run on the collector: a product
@@ -46,17 +48,20 @@ lower central series, the class, the exponent and the abelian
 invariants of a subgroup all work on these sequences through the
 collector, at a cost polynomial in log|G|.  The pc series is central
 (every tail of [g_j, g_i] lies above g_j), which keeps the algebra
-small: a normal closure needs only p-th powers and commutators with
-g1..g5, a closure stops at a full tail (once its slots of depths d..4
-are filled it holds every element of depth >= d, so a new slot of
-depth d - 1 queues nothing), and the center is cut out layer by layer
-as the kernel of a linear map to F_p^5.  A commutator [g_a, g_i] of
+small: a normal closure needs only p-th powers and commutators with a
+Burnside basis (`_basis`: the pc generators that map to a basis of
+G/Phi(G), 2 or 3 of them on most rows), a closure stops at a full tail
+(once its slots of depths d..4 are filled it holds every element of
+depth >= d, so a new slot of depth d - 1 queues nothing), and the
+center is cut out layer by layer as the kernel of a linear map to
+F_p^d, d the size of the basis.  A commutator [g_a, g_i] of
 two pc generators is never collected: the presentation keeps them in
 one table, read by `_comm`, the only route to a commutator (G' is the
 normal closure of the tails, memoised on the presentation).  The
 exponent is p times the largest order of the five power tails, since
-g_i^p = tail_i.  The type of an abelian subgroup is the Smith form of
-its relative power relations, taken modulo p^6.
+g_i^p = tail_i; it is memoised too, and an element order stops at it.
+The type of an abelian subgroup is the Smith form of its relative power
+relations, taken modulo p^6.
 
 The tests hold all of this against an independent p^5 multiplication
 table, built by a different recursion: the collector against the table
@@ -115,6 +120,14 @@ def _is_prime(n: int) -> bool:
 
 
 def _as_vec(value, prime: int) -> tuple:
+    # a tuple of five ints in [0, p) is already a normal form; anything
+    # else is read, and refused, below
+    if type(value) is tuple and len(value) == 5:
+        a, b, c, d, e = value
+        if (type(a) is type(b) is type(c) is type(d) is type(e) is int
+                and 0 <= a < prime and 0 <= b < prime and 0 <= c < prime
+                and 0 <= d < prime and 0 <= e < prime):
+            return value
     if value is None:
         return IDENTITY
     try:
@@ -159,11 +172,15 @@ class PcPresentation:
     `_suffix[j]` the exponents of g_j^p above g_j, or () when
     g_j^p = 1; `_inv_tails[i - 1]` the syllables of (g_i^p)^-1; and
     `_comms[a - 1][i - 1]` the commutator [g_a, g_i]: the tail of (a, i)
-    for a > i, its inverse for a < i, the identity for a = i.
+    for a > i, its inverse for a < i, the identity for a = i.  The keys
+    of `_conj` are those of the pairs in `_blockers` alone: a commuting
+    pair is never looked up.  `_derived`, `_basis` and `_exponent` hold
+    G', the Burnside basis and exp(G) once they are first asked for.
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key", "_conj",
-                 "_blockers", "_suffix", "_inv_tails", "_comms", "_derived")
+                 "_blockers", "_suffix", "_inv_tails", "_comms", "_derived",
+                 "_basis", "_exponent")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = _integer(prime, "prime must be an integer")
@@ -220,7 +237,7 @@ class PcPresentation:
             for j in range(1, 6))
         self._suffix = (None,) + tuple(t[j:] if any(t) else ()
                                        for j, t in enumerate(pt, 1))
-        self._derived = None
+        self._derived = self._basis = self._exponent = None
         failures = [f"overlap {label}: {x} vs {y}"
                     for label, x, y in _overlaps(self) if x != y]
         if failures:
@@ -270,6 +287,9 @@ def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
     (h, 1) goes to the one for (e - h, v) of g_l; with h = c // 2, the
     entry for (e, c) is the one for (e, h) times the one for (e, c - h).
     All these products lie in <g_(j+1), ...> and are collected there.
+    A syllable g_l^v with [g_l, g_j] = 1 is fixed by phi_(e-h) and is
+    taken as it is, so the entries that the collector and this recursion
+    fill are those of the pairs of `_blockers` alone.
     """
     conj = P._conj
     x = [0, 0, 0, 0, 0]
@@ -284,10 +304,14 @@ def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
         x[m - 1] = 1
     else:
         h = e // 2
+        above = P._blockers[j]
         stack = []
         for l, v in conj.get((j, m, h, 1)) or _conjugate(P, j, m, h, 1):
-            stack += (conj.get((j, l, e - h, v))
-                      or _conjugate(P, j, l, e - h, v))
+            if l in above:
+                stack += (conj.get((j, l, e - h, v))
+                          or _conjugate(P, j, l, e - h, v))
+            else:  # g_l commutes with g_j
+                stack.append((l, v))
         _collect_into(x, stack, P)
     syllables = conj[j, m, e, c] = _stack(x)
     return syllables
@@ -320,8 +344,11 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
     w of `out` from the lowest generator above g_j that it does not
     commute with, and pushes w^(g_j^e), the product of the memoised
     conjugates of w's syllables, back on the stack:
-    out * g_j^e = (out / w) * g_j^e * w^(g_j^e).  Everything left above
-    g_j then commutes with it, so g_j^e lands in place.  When the
+    out * g_j^e = (out / w) * g_j^e * w^(g_j^e).  A syllable g_m^c of w
+    with [g_m, g_j] = 1 is its own conjugate and goes back unchanged, so
+    the memo is read, and filled, for the pairs of `_blockers` only.
+    Everything left above g_j then commutes with it, so g_j^e lands in
+    place.  When the
     exponent s = out[j] + e reaches p, g_j^p wraps to its tail, which
     goes right above g_j; the part above g_j is lifted off again and
     collected after it.
@@ -332,13 +359,17 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
     extend = stack.extend
     while stack:
         j, e = pop()
-        for k in blockers[j]:
+        above = blockers[j]
+        for k in above:
             if out[k - 1]:
                 for m in range(5, k - 1, -1):
                     c = out[m - 1]
                     if c:
-                        extend(conj.get((j, m, e, c))
-                               or _conjugate(P, j, m, e, c))
+                        if m in above:
+                            extend(conj.get((j, m, e, c))
+                                   or _conjugate(P, j, m, e, c))
+                        else:  # g_m commutes with g_j
+                            push((m, c))
                         out[m - 1] = 0
                 break
         s = out[j - 1] + e
@@ -411,12 +442,21 @@ def _overlaps(P: PcPresentation):
     For k > j > i the triples g_k (g_j g_i) = (g_k g_j) g_i; for each
     pair j > i, g_j^p g_i = g_j^(p-1) (g_j g_i) and
     g_j g_i^p = (g_j g_i) g_i^(p-1); and g_i^p g_i = g_i g_i^p.  Each
-    side is a product of normal forms, with g_j g_i collected once.
+    side is a product of normal forms.  g_j g_i is the normal form
+    g_i g_j t_ji, since g_i^-1 g_j g_i = g_j t_ji (the rule e = 1 of
+    `_conjugate`) and t_ji lies above g_j: the form that the collector
+    reaches for it, so it is written down, not collected.
     """
     g = (None,) + _GENS
     tails = (None,) + P.power_tails
-    last = (None,) + tuple(tuple((P.prime - 1) * e for e in x) for x in _GENS)
-    swap = {(j, i): _mul(g[j], g[i], P) for j, i in _PAIRS}
+    q = P.prime - 1
+    last = (None, (q, 0, 0, 0, 0), (0, q, 0, 0, 0), (0, 0, q, 0, 0),
+            (0, 0, 0, q, 0), (0, 0, 0, 0, q))
+    swap = {}
+    for j, i in _PAIRS:
+        x = list(P.comm_tails[j, i])
+        x[i - 1] = x[j - 1] = 1
+        swap[j, i] = tuple(x)
     for label, k, j, i in _TRIPLES:
         yield label, _mul(g[k], swap[j, i], P), _mul(swap[k, j], g[i], P)
     for label_j, label_i, j, i in _POWER_PAIRS:
@@ -511,13 +551,14 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
 
     Each element s that sifts to a new depth is scaled to leading
     exponent 1 and puts s^p and its commutators with the sequence so far
-    (with g1..g5 for a normal closure) on the queue.  Once everything
-    sifts to 1, s_j^p and the commutators involving s_j lie in
-    <s_(j+1), ...>, because the pc series is central and a commutator
-    with s_j lies deeper than s_j.  Going up from the deepest element,
-    each s_j then normalises <s_(j+1), ...> (for a normal closure, so
-    does every g_i), so the products s_1^e_1 ... s_m^e_m, 0 <= e_i < p,
-    form the subgroup.
+    (with the Burnside basis `_basis` for a normal closure) on the
+    queue.  Once everything sifts to 1, s_j^p and the commutators
+    involving s_j lie in <s_(j+1), ...>, because the pc series is central
+    and a commutator with s_j lies deeper than s_j.  Going up from the
+    deepest element, each s_j then normalises <s_(j+1), ...> (for a
+    normal closure, so does every element of the basis, and with it the
+    group that the basis generates, G), so the products
+    s_1^e_1 ... s_m^e_m, 0 <= e_i < p, form the subgroup.
 
     The closure stops at a full tail.  `full` is the least depth from
     which every slot is filled; filled slots of depths d+1..4 generate
@@ -531,6 +572,7 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     """
     p = P.prime
     slots = [None] * 5
+    acting = _basis(P) if normal else slots
     full = 5
     queue = list(seeds)
     while queue:
@@ -543,8 +585,7 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
         x = _pow(x, pow(x[d], -1, p), P)
         if d + 1 < full:
             queue.append(_pow(x, p, P))
-            queue += [_comm(x, y, P) for y in (_GENS if normal else slots)
-                      if y is not None]
+            queue += [_comm(x, y, P) for y in acting if y is not None]
         slots[d] = x
         while full and slots[full - 1] is not None:
             full -= 1
@@ -558,31 +599,65 @@ def _derived(P: PcPresentation) -> tuple:
     return P._derived
 
 
+def _basis(P: PcPresentation) -> tuple:
+    """A Burnside basis of G, memoised on P: the pc generators at the
+    positions that are not pivots of an echelon form, over F_p, of the
+    nonzero power and commutator tails.
+
+    G/Phi(G) is the largest elementary abelian quotient of G, so it is
+    F_p^5 modulo the relations of the presentation read there: g_i^p =
+    tail_i says tail_i = 0 and [g_j, g_i] = tail_ji says tail_ji = 0,
+    exponents modulo p.  The echelon rows and the unit vectors at the
+    other positions form a basis of F_p^5, so those generators map to a
+    basis of G/Phi(G), and by the Burnside basis theorem they generate G.
+    """
+    if P._basis is None:
+        p = P.prime
+        rows = []
+        for t in P.power_tails + tuple(P.comm_tails.values()):
+            for c, w in rows:
+                f = t[c]
+                if f:
+                    t = [(a - f * b) % p for a, b in zip(t, w)]
+            c = next((i for i in range(5) if t[i]), None)
+            if c is not None:
+                u = pow(t[c], -1, p)
+                rows.append((c, [a * u % p for a in t]))
+        pivots = {c for c, _ in rows}
+        P._basis = tuple(g for i, g in enumerate(_GENS) if i not in pivots)
+    return P._basis
+
+
 def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
     """C_stop, where C_d = {x : [x, G] <= G_d} and G_d holds the elements
     of depth >= d; C_5 = Z(G).  Found layer by layer down the pc series.
 
-    On C_d, x -> ([x, g_i] at depth d)_i is a homomorphism to F_p^5
-    whose kernel is C_(d+1).  The kernel is normal in G and contains the
-    elements that eliminate to a zero row and the p-th powers of the
-    pivots; those generate it as a normal subgroup.  The zero rows take
-    in the sequence of G_d <= C_d, which holds [C_d, C_d], so modulo
-    them C_d is elementary abelian of rank at most the number of pivots.
+    For x in C_d, g -> [x, g] modulo G_(d+1) is a homomorphism from G to
+    G_d/G_(d+1) = F_p, since [x, gh] = [x, h] [x, g]^h and G_d/G_(d+1) is
+    central, so [x, G] <= G_(d+1) once [x, b] is for each b of the
+    Burnside basis `_basis`, which generates G.  On C_d, x -> ([x, b] at
+    depth d)_b is a homomorphism to F_p^n, n the size of the basis, by
+    the same identity in x, and its kernel is C_(d+1).  The kernel is
+    normal in G and contains the elements that eliminate to a zero row
+    and the p-th powers of the pivots; those generate it as a normal
+    subgroup.  The zero rows take in the sequence of G_d <= C_d, which
+    holds [C_d, C_d], so modulo them C_d is elementary abelian of rank at
+    most the number of pivots.
     C_2 = G: every tail of [g_j, g_i] lies above g_j with j >= 2.  The
     rows of pc generators are read off the commutator table by `_comm`.
     """
-    p = P.prime
+    p, basis = P.prime, _basis(P)
     seq = _GENS
     for d in range(2, stop):
         pivots, seeds = [], []
         for x in seq:
-            v = [_comm(x, g, P)[d] for g in _GENS]
+            v = [_comm(x, b, P)[d] for b in basis]
             for y, w, c in pivots:
                 if v[c]:
                     f = v[c] * pow(w[c], -1, p) % p
                     x = _mul(x, _pow(y, p - f, P), P)
                     v = [(a - f * b) % p for a, b in zip(v, w)]
-            c = next((i for i in range(5) if v[i]), None)
+            c = next((i for i, a in enumerate(v) if a), None)
             if c is None:
                 seeds.append(x)
             else:
@@ -648,16 +723,22 @@ def power(a: Element, n: int, P: PcPresentation) -> Element:
     return _pow(a, n, P)
 
 
-def _order(x, P: PcPresentation) -> int:
+def _order(x, P: PcPresentation, top: int) -> int:
+    """The order of x, given a power `top` of p that it divides: once
+    x^(p^k) != 1 and p^(k+1) = top, the order is top, and the p-th power
+    that would show it is not taken."""
     p, order = P.prime, 1
     while any(x):
-        x = _pow(x, p, P)
         order *= p
+        if order == top:
+            break
+        x = _pow(x, p, P)
     return order
 
 
 def order_of(a: Element, P: PcPresentation) -> int:
-    return _order(_as_vec(a, P.prime), P)
+    """The order of a; it divides exp(G), where the p-th powers stop."""
+    return _order(_as_vec(a, P.prime), P, exponent(P))
 
 
 def generator(i: int) -> Element:
@@ -684,12 +765,15 @@ def center(P: PcPresentation) -> Subgroup:
 
 def lower_central_series(P: PcPresentation) -> list:
     """G = gamma_1 > gamma_2 > ... > 1, with gamma_2 = G' and
-    gamma_(c+1) the normal closure of the [s, g_i] over the sequence s
-    of gamma_c."""
+    gamma_(c+1) = [gamma_c, G] the normal closure of the [s, b] over the
+    sequence s of gamma_c and the Burnside basis b of `_basis`: modulo
+    that closure N each s commutes with each b, so gamma_c N / N is
+    central in G/N, which the b generate, and [gamma_c, G] <= N."""
     seq = _derived(P)
     series = [_GENS, seq]
+    basis = _basis(P)
     while seq:
-        seq = _closure([_comm(s, g, P) for s in seq for g in _GENS], P,
+        seq = _closure([_comm(s, b, P) for s in seq for b in basis], P,
                        normal=True)
         series.append(seq)
     return [Subgroup(P, seq) for seq in series]
@@ -707,9 +791,13 @@ def exponent(P: PcPresentation) -> int:
     p-group the elements of order dividing p^k form a subgroup, and exp G
     is the largest order among any generating set.  A pc generator has
     g_i^p = tail_i, so order(g_i) = p * order(tail_i), and the orders
-    start from the power tails.
+    start from the power tails, each in <g_2, ...>, of order at most
+    p^4.  Memoised on P.
     """
-    return P.prime * max(_order(t, P) for t in P.power_tails)
+    if P._exponent is None:
+        p = P.prime
+        P._exponent = p * max(_order(t, P, p**4) for t in P.power_tails)
+    return P._exponent
 
 
 def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:

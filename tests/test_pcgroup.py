@@ -34,6 +34,8 @@ from p5tensor.pcgroup import (
     order_of,
     power,
     subgroup_closure,
+    _as_vec,
+    _basis,
     _center_seq,
     _conjugate,
 )
@@ -215,6 +217,40 @@ def test_exponents_and_generator_indices_must_be_integers():
         PcPresentation(7, power_tails={1: (0, 0.5, 0, 0, 0)})
     assert multiply((np.int64(1), 0, 0, 0, 0), (0, True, 0, 0, 0), P) == \
         normalize([(np.int64(1), 1), (2, np.int8(1))], P) == (1, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("value, got", (
+    ((1, 2, 3, 4, 0), (1, 2, 3, 4, 0)),
+    ([1, 2, 3, 4, 0], (1, 2, 3, 4, 0)),
+    ((True, False, 0, 0, 1), (1, 0, 0, 0, 1)),
+    ((np.int64(4), 0, np.int8(1), 0, 0), (4, 0, 1, 0, 0)),
+    (np.array([0, 0, 0, 0, 2]), (0, 0, 0, 0, 2)),
+    (None, IDENTITY)))
+def test_exponent_vectors_are_read_as_int_tuples(value, got):
+    # the exact tuple of five ints in [0, p) is returned as it is; every
+    # other integral input is read into one
+    vec = _as_vec(value, P5)
+    assert vec == got and type(vec) is tuple
+    assert all(type(x) is int for x in vec)
+
+
+@pytest.mark.parametrize("value, message", (
+    ((1.0, 0, 0, 0, 0), "exponents must be integers"),
+    ([0, 0, 0.5, 0, 0], "exponents must be integers"),
+    (("1", 0, 0, 0, 0), "exponents must be integers"),
+    (7, "exponents must be integers"),
+    ((1, 0, 0, 0), "exponent vector must have length 5"),
+    ((1, 0, 0, 0, 0, 0), "exponent vector must have length 5"),
+    *((IDENTITY[:k] + (x,) + IDENTITY[k + 1:],
+       rf"exponent {x} outside \[0, 5\)") for k in range(5) for x in (-1, 5)),
+    ([0, 0, 0, 0, 9], r"exponent 9 outside \[0, 5\)"),
+    ((np.int64(6), 0, 0, 0, 0), r"exponent 6 outside \[0, 5\)"),
+    ((True, 0, 0, 0, 5), r"exponent 5 outside \[0, 5\)")))
+def test_exponent_vectors_are_refused_with_the_reason(value, message):
+    with pytest.raises(ValueError, match=message):
+        _as_vec(value, P5)
+    with pytest.raises(ValueError, match=message):
+        multiply(value, IDENTITY, heisenberg())
 
 
 def test_power_tail_keys_are_generator_indices():
@@ -476,6 +512,35 @@ def test_exponent_matches_brute_force_element_orders(p):
         assert exponent(P) == largest_order_brute_force(pth, p), (row, params)
 
 
+def table_order(g, x):
+    """The order of element index x, by the tables' p-th power map."""
+    n, y = 1, np.array([x])
+    while y[0]:
+        y, n = g.pth(y), n * g.p
+    return n
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_burnside_basis_and_orders_match_the_tables(p):
+    # |G : Phi(G)| = p^|basis|, with Phi(G) = G^p G' the normal closure
+    # of the tails formed on the tables; the basis generates G; and
+    # order_of, which stops at exp(G), against the p-th power map
+    rng = random.Random(p)
+    for row, params in groups_at(p):
+        P = build(row, p, params)
+        g = TableGroup(P)
+        where = (row, params)
+        tails = P.power_tails + tuple(P.comm_tails.values())
+        phi = normal_closure_mask(g, np.array([g.idx_of(t) for t in tails]))
+        basis = _basis(P)
+        assert p ** (5 - len(basis)) == phi.sum(), where
+        assert subgroup_closure(basis, P).order == p**5, where
+        xs = [g.idx_of(generator(i)) for i in range(1, 6)]
+        xs += [rng.randrange(g.n) for _ in range(20)]
+        for x in xs:
+            assert order_of(g.exps_of(x), P) == table_order(g, x), (where, x)
+
+
 @pytest.mark.parametrize("p", (5, 7))
 def test_left_inverse_and_conjugation_tables_on_every_element(p):
     for row, params in groups_at(p):
@@ -524,10 +589,11 @@ def test_element_operations_match_the_oracle_tables(p):
     pytest.param(5, True, id="5-fresh"), pytest.param(7, True, id="7-fresh")))
 def test_conjugate_memo_matches_the_tables(p, fresh):
     # memo entry (j, m, e, c) against g_j^-e g_m^c g_j^e: the table
-    # conj[j] applied e times to g_m^c, for every entry.  `fresh` asks a
-    # new presentation, whose memo is empty, for the entries from
-    # e = p - 1 down, so each entry is checked as the recursion first
-    # builds it
+    # conj[j] applied e times to g_m^c, for every entry of a pair in
+    # `_blockers`; for a commuting pair the collector pushes g_m^c back
+    # as it is, so the table must fix it.  `fresh` asks a new
+    # presentation, whose memo is empty, for the entries from e = p - 1
+    # down, so each entry is checked as the recursion first builds it
     entries = 0
     for row, params in groups_at(p):
         P = build(row, p, params)
@@ -544,14 +610,18 @@ def test_conjugate_memo_matches_the_tables(p, fresh):
                     x.append(g.conj[j][x[-1]])
                 for e in range(p - 1, 0, -1) if fresh else range(1, p):
                     for c in range(1, p):
-                        syl = (memo.get((j, m, e, c))
-                               or _conjugate(P, j, m, e, c))
+                        if m in P._blockers[j]:
+                            syl = (memo.get((j, m, e, c))
+                                   or _conjugate(P, j, m, e, c))
+                        else:
+                            syl = [(m, c)]
                         got = [0, 0, 0, 0, 0]
                         for l, v in syl:
                             got[l - 1] = v
                         assert tuple(got) == g.exps_of(x[e][c - 1]), \
                             (row, params, j, m, e, c)
                         entries += 1
+        assert all(m in P._blockers[j] for j, m, _, _ in memo), (row, params)
     assert entries == len(groups_at(p)) * 10 * (p - 1)**2
 
 
@@ -559,9 +629,14 @@ def test_conjugate_memo_matches_the_tables(p, fresh):
 def test_conjugate_memo_of_one_row_stays_small(p):
     # phi_e = phi_(e-h) o phi_h: an entry rests on O(log p) others, so
     # the overlaps of row 59, which need the conjugates by g_j^(p-1),
-    # fill O(log^2 p) entries for each of the ten pairs (j, m)
-    P = build("59", p)
-    assert 0 < len(P._conj) <= 10 * math.log2(p)**2
+    # fill O(log^2 p) entries for each pair (j, m) with [g_m, g_j] != 1;
+    # a commuting pair never enters the memo.  A new presentation holds
+    # the constructor's entries only
+    Q = build("59", p)
+    P = PcPresentation(p, Q.power_tails, Q.comm_tails)
+    pairs = sum(map(len, P._blockers[1:]))
+    assert all(m in P._blockers[j] for j, m, _, _ in P._conj)
+    assert 0 < len(P._conj) <= pairs * math.log2(p)**2
 
 
 @pytest.mark.parametrize("p", (5, 7))
