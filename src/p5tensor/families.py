@@ -159,8 +159,12 @@ def _resolve(family, p, params):
     half = (p - 1) // 2
     vals = {}
     for name in names:
-        if name != "k":
-            vals[name] = _as_int(given.get(name, 1), name)
+        if name != "k":  # an exponent of the primitive root
+            v = _as_int(given.get(name, 1), name)
+            if not 0 <= v <= p - 2:
+                raise BadParam(f"{name} must lie in 0..{p - 2} for "
+                               f"p = {p}, got {v}")
+            vals[name] = v
             continue
         k = given.get("k")
         if k is None:

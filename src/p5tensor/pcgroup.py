@@ -15,13 +15,25 @@ for j > i, and every element has a unique normal form
 reached by collection from the left.  Elements are plain 5-tuples of
 exponents; the identity is (0,0,0,0,0).
 
-The collector works on syllables g_j^e, 1 <= e < p.  A syllable that
-meets a part w of the normal form it does not commute with lifts w off
-and pushes the conjugate w^(g_j^e) back as syllables, read from a memo
-that each presentation fills on demand: the dict entry (j, m, e, c)
-holds g_j^-e g_m^c g_j^e in normal form.  A syllable g_m^c of w with
-[g_m, g_j] = 1 is its own conjugate and goes back unchanged, so the memo
-holds entries of the pairs with [g_m, g_j] != 1 only.  Conjugation by
+The collector works on syllables g_j^e, 1 <= e < p, and moves only
+what must move.  A syllable that meets a part w of the normal form it
+does not commute with lifts w off and pushes the conjugate w^(g_j^e)
+back as syllables, read from a memo that each presentation fills on
+demand: the dict entry (j, m, e, c) holds g_j^-e g_m^c g_j^e in normal
+form.  A syllable g_m^c of w with [g_m, g_j] = 1 is its own conjugate
+and goes back unchanged, so the memo holds entries of the pairs with
+[g_m, g_j] != 1 only.  Two rules of `_collect_into`, with their proofs
+there, keep syllables that need not move in the normal form:
+
+1. rule 1, the lift: g_m^c stays when [g_m, g_j] = 1 and g_m
+   commutes with every generator from the lowest one of w up, since it
+   then commutes with g_j and with w, and can be moved in front of
+   g_j^e;
+2. rule 2, the wrap: when g_j^p wraps to its tail t_j, the syllables
+   above every generator that t_j holds or that fails to commute with
+   some g_i, i > j, stay, since they commute with t_j and with the rest.
+
+g5 is central in every presentation, so it never moves.  Conjugation by
 g_j^e is an automorphism phi_e of <g_(j+1), ...>, and
 phi_e = phi_(e-h) o phi_h, so an entry rests on O(log p) others
 (`_conjugate`), collected inside <g_(j+1), ...>, which reads only
@@ -63,6 +75,16 @@ g_i^p = tail_i; it is memoised too, and an element order stops at it.
 The type of an abelian subgroup is the Smith form of its relative power
 relations, taken modulo p^6.
 
+Rule 3, the closure exit: `subgroup_closure` and `normal_closure`
+return G without collecting when their seeds span G/Phi(G) (`_spans`).
+By the Burnside basis theorem HPhi(G) = G gives H = G, and a normal
+closure holds the subgroup that its seeds generate.  The seeds span
+G/Phi(G) when they and the tails, exponents modulo p, have rank 5 over
+F_p, read by `_echelon`, the elimination of `_basis`.  The closures
+inside the package (G', the center, the lower central series) start
+from seeds in Phi(G), so the test sits at the two public entry points
+only.
+
 The tests hold all of this against an independent p^5 multiplication
 table, built by a different recursion: the collector against the table
 on every element, and the pc sequences against the table's subgroups.
@@ -78,6 +100,7 @@ InconsistentPresentation, so every PcPresentation is consistent.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 from .abelian import AbelianType, _integer, cokernel_type
 
@@ -169,18 +192,22 @@ class PcPresentation:
     memo, maps (j, m, e, c), m > j, to the syllables of
     g_j^-e g_m^c g_j^e in stack order, filled by `_conjugate`;
     `_blockers[j]` holds the k > j with [g_k, g_j] != 1, ascending;
-    `_suffix[j]` the exponents of g_j^p above g_j, or () when
-    g_j^p = 1; `_inv_tails[i - 1]` the syllables of (g_i^p)^-1; and
-    `_comms[a - 1][i - 1]` the commutator [g_a, g_i]: the tail of (a, i)
-    for a > i, its inverse for a < i, the identity for a = i.  The keys
-    of `_conj` are those of the pairs in `_blockers` alone: a commuting
-    pair is never looked up.  `_derived`, `_basis` and `_exponent` hold
-    G', the Burnside basis and exp(G) once they are first asked for.
+    `_lifts[j][k]` the positions that a syllable g_j^e whose lowest
+    blocker is g_k lifts, and `_suffix[j]` the exponents of g_j^p from
+    g_(j+1) up to the highest position that its wrap lifts, or () when
+    g_j^p = 1 (rules 1 and 2 of `_collect_into`); `_inv_tails[i - 1]` the
+    syllables of (g_i^p)^-1; and `_comms[a - 1][i - 1]` the commutator
+    [g_a, g_i]: the tail of (a, i) for a > i, its inverse for a < i, the
+    identity for a = i.  The keys of `_conj` are those of the pairs in
+    `_blockers` alone: a commuting pair is never looked up.  `_derived`,
+    `_basis` and `_exponent` hold G', the Burnside basis and exp(G) once
+    they are first asked for, and `_phi` the echelon rows of the tails
+    modulo p once a public closure asks whether its seeds span G/Phi(G).
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key", "_conj",
-                 "_blockers", "_suffix", "_inv_tails", "_comms", "_derived",
-                 "_basis", "_exponent")
+                 "_blockers", "_lifts", "_suffix", "_inv_tails", "_comms",
+                 "_derived", "_phi", "_basis", "_exponent")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = _integer(prime, "prime must be an integer")
@@ -235,9 +262,11 @@ class PcPresentation:
         self._blockers = (None,) + tuple(
             tuple(k for k in range(j + 1, 6) if any(full[(k, j)]))
             for j in range(1, 6))
-        self._suffix = (None,) + tuple(t[j:] if any(t) else ()
-                                       for j, t in enumerate(pt, 1))
-        self._derived = self._basis = self._exponent = None
+        self._lifts, tops = _lift_table(self._blockers)
+        self._suffix = (None,) + tuple(
+            t[j:max(tops[j], *(m for m, x in enumerate(t, 1) if x))]
+            if any(t) else () for j, t in enumerate(pt, 1))
+        self._derived = self._phi = self._basis = self._exponent = None
         failures = [f"overlap {label}: {x} vs {y}"
                     for label, x, y in _overlaps(self) if x != y]
         if failures:
@@ -277,6 +306,34 @@ class PcPresentation:
 
 # ---------------------------------------------------------------------------
 # collection
+
+@lru_cache(maxsize=None)
+def _lift_table(blockers: tuple) -> tuple:
+    """`_lifts` of a presentation with these `_blockers`, and the tops of
+    its wraps, from bitmasks (bit m for g_m).  moving[k] holds the m >= k
+    whose g_m fails to commute with some g_i, i >= k: the pairs
+    (i, blockers[i]), i >= k.  `_lifts[j][k]`, k in blockers[j], holds
+    the positions m >= k, descending, in blockers[j] or moving[k]: those
+    that move when g_k is the lowest blocker of g_j^e (rule 1 of
+    `_collect_into`).  tops[j] is the highest position of moving[j + 1],
+    or j (rule 2).  Memoised: the 72 catalog rows have 13 patterns of
+    blockers."""
+    lifts, tops, moving = [None] * 6, [None] * 6, [0] * 7
+    for j in range(5, 0, -1):
+        tops[j] = max(moving[j + 1].bit_length() - 1, j)
+        bits = 0
+        for k in blockers[j]:
+            bits |= 1 << k
+        moving[j] = moving[j + 1] | (bits | 1 << j if bits else 0)
+        if bits:
+            row = [None] * 6
+            for k in blockers[j]:
+                move = bits | moving[k]
+                row[k] = tuple(m for m in range(5, k - 1, -1)
+                               if move >> m & 1)
+            lifts[j] = tuple(row)
+    return tuple(lifts), tuple(tops)
+
 
 def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
     """The memo entry (j, m, e, c): the syllables of g_j^-e g_m^c g_j^e,
@@ -340,20 +397,39 @@ def _mul(a: Element, b: Element, P: PcPresentation) -> Element:
 def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
     """Absorb the syllables on `stack` (top = next) into normal form `out`.
 
-    Collection from the left.  A syllable g_j^e first lifts off the part
-    w of `out` from the lowest generator above g_j that it does not
-    commute with, and pushes w^(g_j^e), the product of the memoised
-    conjugates of w's syllables, back on the stack:
-    out * g_j^e = (out / w) * g_j^e * w^(g_j^e).  A syllable g_m^c of w
-    with [g_m, g_j] = 1 is its own conjugate and goes back unchanged, so
-    the memo is read, and filled, for the pairs of `_blockers` only.
-    Everything left above g_j then commutes with it, so g_j^e lands in
-    place.  When the
-    exponent s = out[j] + e reaches p, g_j^p wraps to its tail, which
-    goes right above g_j; the part above g_j is lifted off again and
-    collected after it.
+    Collection from the left.  A syllable g_j^e finds its lowest blocker
+    g_k in `out` (the lowest k in blockers[j] with a nonzero exponent),
+    lifts the syllables of `out` at and above g_k that must move, and
+    pushes their conjugates by g_j^e back on the stack, read from the
+    memo; everything left above g_j then commutes with it, so g_j^e
+    lands in place.  A lifted syllable g_m^c with [g_m, g_j] = 1 is its
+    own conjugate and goes back unchanged, so the memo is read, and
+    filled, for the pairs of `_blockers` only.
+
+    Rule 1, the lift: g_m^c stays in `out` when [g_m, g_j] = 1 and g_m
+    commutes with every g_i, i >= k (`_lifts[j][k]` holds the positions
+    that move).  Write the part of `out` at and above g_k as w.  Each
+    staying syllable commutes with every syllable of w, so w = S L, with
+    S the staying syllables and L the lifted ones in their order, and S
+    commutes with g_j.  Hence out g_j^e = u S L g_j^e = u g_j^e S
+    L^(g_j^e), u the part below g_k, where u g_j^e is u with e added at
+    g_j (the syllables of u between g_j and g_k commute with g_j; rule 2
+    takes over if that reaches p), and (u g_j^e) S is still a normal
+    form, now followed by L^(g_j^e) on the stack.  g5 is central, so it
+    never moves.
+
+    Rule 2, the wrap: when the exponent s = out[j] + e reaches p,
+    g_j^p wraps to its tail t_j, which goes right above g_j; the part V
+    of `out` above g_j is lifted off and collected after it, up to
+    `top`, the highest generator that t_j holds or that fails to commute
+    with some g_i, i > j (`_suffix[j]` holds t_j up to `top`).  The
+    syllables above `top` stay: they commute with all of G_(j+1), which
+    holds t_j and V, so V = L S with S those syllables, t_j L S =
+    t_j S L, and t_j S is the normal form of t_j with S in its place, as
+    t_j has nothing above `top`.
     """
-    p, conj, blockers, suffix = P.prime, P._conj, P._blockers, P._suffix
+    p, conj, blockers, lifts, suffix = (P.prime, P._conj, P._blockers,
+                                        P._lifts, P._suffix)
     pop = stack.pop
     push = stack.append
     extend = stack.extend
@@ -362,7 +438,7 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
         above = blockers[j]
         for k in above:
             if out[k - 1]:
-                for m in range(5, k - 1, -1):
+                for m in lifts[j][k]:
                     c = out[m - 1]
                     if c:
                         if m in above:
@@ -379,11 +455,12 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
         out[j - 1] = s - p
         tail = suffix[j]
         if tail:  # g_j^p = tail
-            for m in range(5, j, -1):
+            top = j + len(tail)
+            for m in range(top, j, -1):
                 c = out[m - 1]
                 if c:
                     push((m, c))
-            out[j:] = tail
+            out[j:top] = tail
 
 
 def _gen_power(P: PcPresentation, i: int, n: int) -> list:
@@ -599,6 +676,28 @@ def _derived(P: PcPresentation) -> tuple:
     return P._derived
 
 
+def _echelon(vectors, p: int, rows: list) -> list:
+    """`rows`, an echelon form over F_p as (pivot, row) pairs, extended
+    by the vectors: each is reduced by the rows so far and, if anything
+    is left, scaled to 1 at its first nonzero entry and appended."""
+    for t in vectors:
+        for c, w in rows:
+            f = t[c]
+            if f:
+                t = [(a - f * b) % p for a, b in zip(t, w)]
+        c = next((i for i in range(5) if t[i]), None)
+        if c is not None:
+            u = pow(t[c], -1, p)
+            rows.append((c, [a * u % p for a in t]))
+    return rows
+
+
+def _tails_mod_p(P: PcPresentation) -> list:
+    """An echelon form over F_p of the power and commutator tails."""
+    return _echelon(P.power_tails + tuple(P.comm_tails.values()), P.prime,
+                    [])
+
+
 def _basis(P: PcPresentation) -> tuple:
     """A Burnside basis of G, memoised on P: the pc generators at the
     positions that are not pivots of an echelon form, over F_p, of the
@@ -612,20 +711,21 @@ def _basis(P: PcPresentation) -> tuple:
     basis of G/Phi(G), and by the Burnside basis theorem they generate G.
     """
     if P._basis is None:
-        p = P.prime
-        rows = []
-        for t in P.power_tails + tuple(P.comm_tails.values()):
-            for c, w in rows:
-                f = t[c]
-                if f:
-                    t = [(a - f * b) % p for a, b in zip(t, w)]
-            c = next((i for i in range(5) if t[i]), None)
-            if c is not None:
-                u = pow(t[c], -1, p)
-                rows.append((c, [a * u % p for a in t]))
-        pivots = {c for c, _ in rows}
+        pivots = {c for c, _ in _tails_mod_p(P)}
         P._basis = tuple(g for i, g in enumerate(_GENS) if i not in pivots)
     return P._basis
+
+
+def _spans(seeds, P: PcPresentation) -> bool:
+    """Whether the seeds generate G, read off G/Phi(G) = F_p^5/<tails>:
+    the seeds span it exactly when they and the tails' echelon rows
+    (memoised on P as `_phi`) have rank 5 over F_p, and then the subgroup
+    they generate is G by the Burnside basis theorem."""
+    if P._phi is None:
+        P._phi = tuple(_tails_mod_p(P))
+    rows = P._phi
+    return (len(seeds) + len(rows) >= 5
+            and len(_echelon(seeds, P.prime, list(rows))) == 5)
 
 
 def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
@@ -746,12 +846,18 @@ def generator(i: int) -> Element:
 
 
 def subgroup_closure(gens, P: PcPresentation) -> Subgroup:
-    return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P))
+    """The subgroup that `gens` generate; G itself, uncollected, when
+    they span G/Phi(G) (`_spans`)."""
+    seeds = [_as_vec(e, P.prime) for e in gens]
+    return Subgroup(P, _GENS if _spans(seeds, P) else _closure(seeds, P))
 
 
 def normal_closure(gens, P: PcPresentation) -> Subgroup:
-    return Subgroup(P, _closure([_as_vec(e, P.prime) for e in gens], P,
-                                normal=True))
+    """The normal closure of `gens`; G itself, uncollected, when they
+    span G/Phi(G), since it holds the subgroup that they generate."""
+    seeds = [_as_vec(e, P.prime) for e in gens]
+    return Subgroup(P, _GENS if _spans(seeds, P)
+                    else _closure(seeds, P, normal=True))
 
 
 def derived_subgroup(P: PcPresentation) -> Subgroup:

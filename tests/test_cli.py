@@ -125,6 +125,15 @@ def test_group_rejects_malformed_param(capsys):
     assert "param" in err.lower()
 
 
+def test_group_rejects_an_exponent_parameter_out_of_range(capsys):
+    # b = 9 is b = 3 modulo p - 1, but it is refused, not read as b = 3
+    rc, out, err = run(capsys, "group", "--family", "33", "--prime", "7",
+                       "--param", "b=9")
+    assert rc == 2
+    assert not out
+    assert "b must lie in 0..5" in err
+
+
 def test_unknown_family_is_a_usage_error(capsys):
     rc, _, err = run(capsys, "group", "--family", "99", "--prime", "5")
     assert rc == 2

@@ -67,10 +67,15 @@ def test_subcase_guards():
         expected_record("11,2", 5, {"k": 1})
 
 
-@pytest.mark.parametrize("params", [{"k": 0}, {"k": 3}, {"q": 1}])
+@pytest.mark.parametrize("params", [
+    {"k": 0}, {"k": 3}, {"q": 1},
+    {"a": -1}, {"a": 4}, {"a": 9}, {"b": -1}, {"b": 4}, {"b": 9}])
 def test_parameter_domain_enforced(params):
+    # k on row 12; a and b, exponents of the primitive root taken in
+    # 0..p-2, on rows 29 and 33
+    row = {"a": "29", "b": "33"}.get(next(iter(params)), "12")
     with pytest.raises(BadParam):
-        build("12", 5, params)
+        build(row, 5, params)
 
 
 def test_parameter_values_change_tails_not_the_row():

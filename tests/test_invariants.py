@@ -1,6 +1,7 @@
 """Homological invariants and the per-row validation verdicts."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,25 @@ def test_compute_record_computes_each_invariant_once(monkeypatch, p):
         assert calls.get("order", 0) <= 5, rid
 
 
+def _count_pops(monkeypatch):
+    """Count collections and the syllables that they pop: every call of
+    `_collect_into` gets a copy of its stack whose `pop` counts."""
+    counts = {"collections": 0, "popped": 0}
+    collect = pcgroup._collect_into
+
+    class Counted(list):
+        def pop(self):
+            counts["popped"] += 1
+            return super().pop()
+
+    def counting(out, stack, P):
+        counts["collections"] += 1
+        return collect(out, Counted(stack), P)
+
+    monkeypatch.setattr(pcgroup, "_collect_into", counting)
+    return counts
+
+
 def test_compute_record_collector_calls_stay_under_the_gate(monkeypatch):
     # a work gate without timing noise: every collection of the 72 rows
     # at p = 7 and at p = 1009, from fresh presentations.  At p = 7,
@@ -301,21 +321,69 @@ def test_compute_record_collector_calls_stay_under_the_gate(monkeypatch):
     # presentation's table (42 412 at p = 1009).  Commuting pairs that skip the
     # conjugate memo, the Burnside basis, orders that stop at exp(G) and
     # the overlaps' swaps in closed form take it to 9 296 (25 084)
-    calls = 0
-    collect = pcgroup._collect_into
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return collect(*args)
-
-    monkeypatch.setattr(pcgroup, "_collect_into", counting)
+    counts = _count_pops(monkeypatch)
     for p, gate in ((7, 9_750), (1009, 26_300)):
-        calls = 0
+        counts["collections"] = 0
         families._build_cached.cache_clear()
         for rid in list_families():
             compute_record(rid, p)
-        assert calls <= gate, p
+        assert counts["collections"] <= gate, p
+
+
+def _query_calls(rng, p, visit):
+    """One burst of library calls in the mix of the query-mix benchmark:
+    products, commutators, an inverse, a power, an order, words and one
+    closure, which alternates between the kinds and cycles through 1-3
+    (subgroup) or 1-2 (normal) seeds over a row's visits."""
+    def element():
+        return tuple(rng.randrange(p) for _ in range(5))
+
+    calls = []
+    for _ in range(4):
+        calls.append((pcgroup.multiply, (element(), element())))
+    for _ in range(3):
+        calls.append((pcgroup.commutator, (element(), element())))
+    calls.append((pcgroup.inverse, (element(),)))
+    calls.append((pcgroup.power, (element(), rng.randint(-2 * p, 2 * p))))
+    calls.append((pcgroup.order_of, (element(),)))
+    for _ in range(5):
+        calls.append((pcgroup.normalize, ([
+            (rng.randint(1, 5), rng.choice((-1, 1)) * rng.randint(1, p - 1))
+            for _ in range(rng.randint(4, 10))],)))
+    if visit % 2 == 0:
+        close, seeds = pcgroup.subgroup_closure, 1 + visit // 2 % 3
+    else:
+        close, seeds = pcgroup.normal_closure, 1 + visit // 2 % 2
+    calls.append((close, ([element() for _ in range(seeds)],)))
+    rng.shuffle(calls)
+    return calls
+
+
+def test_syllables_popped_stay_under_the_gate(monkeypatch):
+    # a work gate that sees inside a collection, which the gate on
+    # collections cannot: the syllables popped by a seeded query-mix-like
+    # call set (six bursts on each of the 72 rows at p = 7, from fresh
+    # presentations) and by compute_record on the 72 rows at p = 7.
+    # Lifting every syllable at and above a blocker, wrapping every one
+    # above g_j and collecting the closures that span G/Phi(G) popped
+    # 185 780 and 15 318; the lift and wrap rules of `_collect_into` and
+    # the closure exit take them to 142 516 and 14 803 (145 971 and
+    # 14 893 without the wrap rule)
+    counts = _count_pops(monkeypatch)
+    families._build_cached.cache_clear()
+    rng = random.Random(1)
+    groups = [build(rid, 7) for rid in list_families()]
+    counts.update(collections=0, popped=0)
+    for visit in range(6):
+        for P in groups:
+            for call, args in _query_calls(rng, 7, visit):
+                call(*args, P)
+    assert counts["popped"] <= 144_000, counts
+    families._build_cached.cache_clear()
+    counts.update(collections=0, popped=0)
+    for rid in list_families():
+        compute_record(rid, 7)
+    assert counts["popped"] <= 14_850, counts
 
 
 @pytest.mark.parametrize("p", (5, 7))

@@ -584,6 +584,77 @@ def test_element_operations_match_the_oracle_tables(p):
                 g.exps_of(g.mult_idx(ab, int(inv[a]))), (row, params)
 
 
+def table_word(g, word):
+    """The value of a word of (generator, signed exponent) pairs, formed
+    with the tables: g^n by R, g^-n as the inverse of g^n."""
+    x = 0
+    for gen, exp in word:
+        y = 0
+        for _ in range(abs(exp)):
+            y = g.R[gen].item(y)
+        if exp < 0:
+            y = int(g.inv[y])
+        x = g.mult_idx(x, y)
+    return g.exps_of(x)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_normalize_and_multiply_match_the_tables(p):
+    # normalize on seeded signed words, exponents in -2p..2p, and
+    # multiply on seeded pairs, against the tables
+    rng = random.Random(p)
+    for row, params in groups_at(p):
+        P = build(row, p, params)
+        g = TableGroup(P)
+        for _ in range(30):
+            word = [(rng.randint(1, 5),
+                     rng.choice((-1, 1)) * rng.randint(1, 2 * p))
+                    for _ in range(rng.randint(4, 10))]
+            assert normalize(word, P) == table_word(g, word), (row, word)
+            a, b = rng.randrange(g.n), rng.randrange(g.n)
+            assert multiply(g.exps_of(a), g.exps_of(b), P) == \
+                g.exps_of(g.mult_idx(a, b)), (row, params, a, b)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_closures_that_span_the_frattini_quotient_collect_nothing(p,
+                                                                 monkeypatch):
+    # seeds that span G/Phi(G) generate G, and both public closures
+    # return it without a collection; seed sets that do not (seeds in
+    # Phi(G), and one seed when d(G) >= 2) still give the tables' closures
+    def refuse(*args):
+        raise AssertionError("collected")
+
+    rng = random.Random(p)
+    for row, params in groups_at(p):
+        P = build(row, p, params)
+        g = TableGroup(P)
+        where = (row, params)
+        tails = P.power_tails + tuple(P.comm_tails.values())
+        phi = np.flatnonzero(normal_closure_mask(
+            g, np.array([g.idx_of(t) for t in tails])))
+        basis = _basis(P)
+        # the basis, each element times an element of Phi(G), shuffled,
+        # plus an element of Phi(G)
+        seeds = [g.mult_idx(g.idx_of(b), int(rng.choice(phi)))
+                 for b in basis] + [int(rng.choice(phi))]
+        rng.shuffle(seeds)
+        spanning = [g.exps_of(s) for s in seeds]
+        with monkeypatch.context() as m:
+            m.setattr(pcgroup, "_collect_into", refuse)
+            assert subgroup_closure(spanning, P).order == p**5, where
+            assert normal_closure(spanning, P).order == p**5, where
+        short = [[int(rng.choice(phi)) for _ in range(len(basis) + 1)]]
+        if len(basis) >= 2:
+            short.append([rng.randrange(g.n)])
+        for seeds in short:
+            elems = [g.exps_of(s) for s in seeds]
+            for close, normal in ((subgroup_closure, False),
+                                  (normal_closure, True)):
+                assert (as_mask(g, close(elems, P)) ==
+                        closure_mask(g, seeds, normal)).all(), (where, seeds)
+
+
 @pytest.mark.parametrize("p, fresh", (
     pytest.param(5, False, id="5"), pytest.param(7, False, id="7"),
     pytest.param(5, True, id="5-fresh"), pytest.param(7, True, id="7-fresh")))
