@@ -125,7 +125,10 @@ def _parse_params(pairs):
             raise families.BadParam(
                 f"--param expects name=value, got {item!r}")
         name, _, value = item.partition("=")
-        params[name.strip()] = value.strip()
+        name = name.strip()
+        if name in params:
+            raise families.BadParam(f"--param {name} given more than once")
+        params[name] = value.strip()
     return params
 
 

@@ -69,9 +69,10 @@ center is cut out layer by layer as the kernel of a linear map to
 F_p^d, d the size of the basis.  A commutator [g_a, g_i] of
 two pc generators is never collected: the presentation keeps them in
 one table, read by `_comm`, the only route to a commutator (G' is the
-normal closure of the tails, memoised on the presentation).  The
+normal closure of the tails, built with the presentation).  The
 exponent is p times the largest order of the five power tails, since
-g_i^p = tail_i; it is memoised too, and an element order stops at it.
+g_i^p = tail_i; the constructor computes it too, and an element order
+stops at it.
 The type of an abelian subgroup is the Smith form of its relative power
 relations, taken modulo p^6.
 
@@ -80,7 +81,8 @@ return G without collecting when their seeds span G/Phi(G) (`_spans`).
 By the Burnside basis theorem HPhi(G) = G gives H = G, and a normal
 closure holds the subgroup that its seeds generate.  The seeds span
 G/Phi(G) when they and the tails, exponents modulo p, have rank 5 over
-F_p, read by `_echelon`, the elimination of `_basis`.  The closures
+F_p: `_echelon` extends the tails' echelon rows `_phi`, which the
+constructor keeps and reads `_basis` from.  The closures
 inside the package (G', the center, the lower central series) start
 from seeds in Phi(G), so the test sits at the two public entry points
 only.
@@ -199,10 +201,23 @@ class PcPresentation:
     syllables of (g_i^p)^-1; and `_comms[a - 1][i - 1]` the commutator
     [g_a, g_i]: the tail of (a, i) for a > i, its inverse for a < i, the
     identity for a = i.  The keys of `_conj` are those of the pairs in
-    `_blockers` alone: a commuting pair is never looked up.  `_derived`,
-    `_basis` and `_exponent` hold G', the Burnside basis and exp(G) once
-    they are first asked for, and `_phi` the echelon rows of the tails
-    modulo p once a public closure asks whether its seeds span G/Phi(G).
+    `_blockers` alone: a commuting pair is never looked up.
+
+    The constructor then reads off what the presentation knows, in this
+    order: `_phi`, an echelon form over F_p of the power and commutator
+    tails as (pivot, row) pairs; `_basis`, a Burnside basis of G, the pc
+    generators at the positions that are not pivots of `_phi`; `_derived`,
+    G' as the normal closure of the commutator tails (it acts with
+    `_basis` and `_comms`); and `_exponent`, exp(G) (`exponent`).  After
+    that only `_conj` grows.
+
+    `_basis` generates G: G/Phi(G) is the largest elementary abelian
+    quotient of G, so it is F_p^5 modulo the relations of the
+    presentation read there: g_i^p = tail_i says tail_i = 0 and
+    [g_j, g_i] = tail_ji says tail_ji = 0, exponents modulo p.  The rows
+    of `_phi` and the unit vectors at the other positions form a basis of
+    F_p^5, so those generators map to a basis of G/Phi(G), and by the
+    Burnside basis theorem (HPhi(G) = G gives H = G) they generate G.
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key", "_conj",
@@ -266,7 +281,6 @@ class PcPresentation:
         self._suffix = (None,) + tuple(
             t[j:max(tops[j], *(m for m, x in enumerate(t, 1) if x))]
             if any(t) else () for j, t in enumerate(pt, 1))
-        self._derived = self._phi = self._basis = self._exponent = None
         failures = [f"overlap {label}: {x} vs {y}"
                     for label, x, y in _overlaps(self) if x != y]
         if failures:
@@ -276,6 +290,12 @@ class PcPresentation:
             tuple(full[a, i] if a > i else
                   _solve(full[i, a], IDENTITY, self) if a < i else IDENTITY
                   for i in range(1, 6)) for a in range(1, 6))
+        self._phi = tuple(_echelon(self.power_tails + tuple(full.values()),
+                                  prime, []))
+        pivots = {c for c, _ in self._phi}
+        self._basis = tuple(g for i, g in enumerate(_GENS) if i not in pivots)
+        self._derived = _closure(full.values(), self, normal=True)
+        self._exponent = prime * max(_order(t, self, prime**4) for t in pt)
 
     def __eq__(self, other):
         return isinstance(other, PcPresentation) and self._key == other._key
@@ -286,9 +306,6 @@ class PcPresentation:
     def __repr__(self):
         rels = ", ".join(self.relations_text()) or "free of relations"
         return f"PcPresentation(p={self.prime}: {rels})"
-
-    def comm_tail(self, j: int, i: int) -> tuple:
-        return self.comm_tails[(j, i)]
 
     def relations_text(self) -> list:
         """Nontrivial relations as display strings, commutators first."""
@@ -649,7 +666,7 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     """
     p = P.prime
     slots = [None] * 5
-    acting = _basis(P) if normal else slots
+    acting = P._basis if normal else slots
     full = 5
     queue = list(seeds)
     while queue:
@@ -669,13 +686,6 @@ def _closure(seeds, P: PcPresentation, normal: bool = False) -> tuple:
     return tuple(s for s in slots if s is not None)
 
 
-def _derived(P: PcPresentation) -> tuple:
-    """G': the normal closure of the tails [g_j, g_i], memoised on P."""
-    if P._derived is None:
-        P._derived = _closure(P.comm_tails.values(), P, normal=True)
-    return P._derived
-
-
 def _echelon(vectors, p: int, rows: list) -> list:
     """`rows`, an echelon form over F_p as (pivot, row) pairs, extended
     by the vectors: each is reduced by the rows so far and, if anything
@@ -688,41 +698,15 @@ def _echelon(vectors, p: int, rows: list) -> list:
         c = next((i for i in range(5) if t[i]), None)
         if c is not None:
             u = pow(t[c], -1, p)
-            rows.append((c, [a * u % p for a in t]))
+            rows.append((c, tuple(a * u % p for a in t)))
     return rows
-
-
-def _tails_mod_p(P: PcPresentation) -> list:
-    """An echelon form over F_p of the power and commutator tails."""
-    return _echelon(P.power_tails + tuple(P.comm_tails.values()), P.prime,
-                    [])
-
-
-def _basis(P: PcPresentation) -> tuple:
-    """A Burnside basis of G, memoised on P: the pc generators at the
-    positions that are not pivots of an echelon form, over F_p, of the
-    nonzero power and commutator tails.
-
-    G/Phi(G) is the largest elementary abelian quotient of G, so it is
-    F_p^5 modulo the relations of the presentation read there: g_i^p =
-    tail_i says tail_i = 0 and [g_j, g_i] = tail_ji says tail_ji = 0,
-    exponents modulo p.  The echelon rows and the unit vectors at the
-    other positions form a basis of F_p^5, so those generators map to a
-    basis of G/Phi(G), and by the Burnside basis theorem they generate G.
-    """
-    if P._basis is None:
-        pivots = {c for c, _ in _tails_mod_p(P)}
-        P._basis = tuple(g for i, g in enumerate(_GENS) if i not in pivots)
-    return P._basis
 
 
 def _spans(seeds, P: PcPresentation) -> bool:
     """Whether the seeds generate G, read off G/Phi(G) = F_p^5/<tails>:
     the seeds span it exactly when they and the tails' echelon rows
-    (memoised on P as `_phi`) have rank 5 over F_p, and then the subgroup
-    they generate is G by the Burnside basis theorem."""
-    if P._phi is None:
-        P._phi = tuple(_tails_mod_p(P))
+    (`_phi`) have rank 5 over F_p, and then the subgroup they generate is
+    G by the Burnside basis theorem."""
     rows = P._phi
     return (len(seeds) + len(rows) >= 5
             and len(_echelon(seeds, P.prime, list(rows))) == 5)
@@ -746,7 +730,7 @@ def _center_seq(P: PcPresentation, stop: int = 5) -> tuple:
     C_2 = G: every tail of [g_j, g_i] lies above g_j with j >= 2.  The
     rows of pc generators are read off the commutator table by `_comm`.
     """
-    p, basis = P.prime, _basis(P)
+    p, basis = P.prime, P._basis
     seq = _GENS
     for d in range(2, stop):
         pivots, seeds = [], []
@@ -862,7 +846,7 @@ def normal_closure(gens, P: PcPresentation) -> Subgroup:
 
 def derived_subgroup(P: PcPresentation) -> Subgroup:
     """G': the normal closure of the commutator tails [g_j, g_i]."""
-    return Subgroup(P, _derived(P))
+    return Subgroup(P, P._derived)
 
 
 def center(P: PcPresentation) -> Subgroup:
@@ -875,9 +859,8 @@ def lower_central_series(P: PcPresentation) -> list:
     sequence s of gamma_c and the Burnside basis b of `_basis`: modulo
     that closure N each s commutes with each b, so gamma_c N / N is
     central in G/N, which the b generate, and [gamma_c, G] <= N."""
-    seq = _derived(P)
+    seq, basis = P._derived, P._basis
     series = [_GENS, seq]
-    basis = _basis(P)
     while seq:
         seq = _closure([_comm(s, b, P) for s in seq for b in basis], P,
                        normal=True)
@@ -898,11 +881,8 @@ def exponent(P: PcPresentation) -> int:
     is the largest order among any generating set.  A pc generator has
     g_i^p = tail_i, so order(g_i) = p * order(tail_i), and the orders
     start from the power tails, each in <g_2, ...>, of order at most
-    p^4.  Memoised on P.
+    p^4.  The constructor reads it off them as `_exponent`.
     """
-    if P._exponent is None:
-        p = P.prime
-        P._exponent = p * max(_order(t, P, p**4) for t in P.power_tails)
     return P._exponent
 
 

@@ -125,6 +125,16 @@ def test_group_rejects_malformed_param(capsys):
     assert "param" in err.lower()
 
 
+def test_group_rejects_a_repeated_param(capsys):
+    # the names compare as stored, stripped, so " b" repeats "b"
+    for second in ("b=2", " b =1"):
+        rc, out, err = run(capsys, "group", "--family", "33", "--prime",
+                           "7", "--param", "b=1", "--param", second)
+        assert rc == 2
+        assert not out
+        assert "--param b given more than once" in err
+
+
 def test_group_rejects_an_exponent_parameter_out_of_range(capsys):
     # b = 9 is b = 3 modulo p - 1, but it is refused, not read as b = 3
     rc, out, err = run(capsys, "group", "--family", "33", "--prime", "7",
@@ -334,7 +344,7 @@ def test_groups_above_p13_run_on_the_collector(capsys):
             == (1, 1, 0, 0, 0)
         assert multiply(g2, g1, P) == normalize([(2, 1), (1, 1)], P) \
             == (1, 1) + tail[2:]
-        assert commutator(g2, g1, P) == P.comm_tail(2, 1) == tail
+        assert commutator(g2, g1, P) == P.comm_tails[2, 1] == tail
 
 
 def test_catalog_views_need_no_tables(capsys):

@@ -86,7 +86,7 @@ def test_parameter_values_change_tails_not_the_row():
 
 
 def test_build_worked_examples():
-    assert build("24", 5).comm_tail(4, 2) == (0, 0, 0, 0, 4)
+    assert build("24", 5).comm_tails[4, 2] == (0, 0, 0, 0, 4)
     assert "[g3,g1] = g4 g5^2" in build("9", 5).relations_text()
     assert "[g3,g1] = g4 g5^3" in build("9", 7).relations_text()
 

@@ -1,6 +1,7 @@
 """Collector, tables, and subgroup machinery on five-generator
 power-commutator presentations."""
 
+import copy
 import math
 import random
 import types
@@ -35,7 +36,6 @@ from p5tensor.pcgroup import (
     power,
     subgroup_closure,
     _as_vec,
-    _basis,
     _center_seq,
     _conjugate,
 )
@@ -532,7 +532,7 @@ def test_burnside_basis_and_orders_match_the_tables(p):
         where = (row, params)
         tails = P.power_tails + tuple(P.comm_tails.values())
         phi = normal_closure_mask(g, np.array([g.idx_of(t) for t in tails]))
-        basis = _basis(P)
+        basis = P._basis
         assert p ** (5 - len(basis)) == phi.sum(), where
         assert subgroup_closure(basis, P).order == p**5, where
         xs = [g.idx_of(generator(i)) for i in range(1, 6)]
@@ -633,7 +633,7 @@ def test_closures_that_span_the_frattini_quotient_collect_nothing(p,
         tails = P.power_tails + tuple(P.comm_tails.values())
         phi = np.flatnonzero(normal_closure_mask(
             g, np.array([g.idx_of(t) for t in tails])))
-        basis = _basis(P)
+        basis = P._basis
         # the basis, each element times an element of Phi(G), shuffled,
         # plus an element of Phi(G)
         seeds = [g.mult_idx(g.idx_of(b), int(rng.choice(phi)))
@@ -653,6 +653,56 @@ def test_closures_that_span_the_frattini_quotient_collect_nothing(p,
                                   (normal_closure, True)):
                 assert (as_mask(g, close(elems, P)) ==
                         closure_mask(g, seeds, normal)).all(), (where, seeds)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_frattini_rank_by_two_routes(p):
+    # d(G) from the F_p echelon of the tails (the basis and the pivots of
+    # `_phi`) and from the Smith form over Z/p^6 of G^ab; the basis spans
+    # G/Phi(G) and no smaller part of it does
+    for row in ALL_ROWS:
+        P = build(row, p)
+        basis = list(P._basis)
+        assert len(basis) == 5 - len(P._phi) == \
+            len(ab_from_presentation(P)), row
+        assert pcgroup._spans(basis, P), row
+        for i in range(len(basis)):
+            assert not pcgroup._spans(basis[:i] + basis[i + 1:], P), (row, i)
+
+
+def test_a_presentation_is_complete_when_built(monkeypatch):
+    # G', exp(G) and the Burnside basis are there when the constructor
+    # returns: they answer with the collector refused, and afterwards
+    # only the conjugate memo `_conj` changes
+    def refuse(*args):
+        raise AssertionError("collected")
+
+    rng = random.Random(25)
+    slots = [s for s in PcPresentation.__slots__ if s != "_conj"]
+    for row in ALL_ROWS:
+        P = build(row, 7)
+        P = PcPresentation(7, P.power_tails, P.comm_tails)
+        before = {s: getattr(P, s) for s in slots}
+        copies = {s: copy.deepcopy(v) for s, v in before.items()}
+        with monkeypatch.context() as m:
+            m.setattr(pcgroup, "_collect_into", refuse)
+            derived = derived_subgroup(P)
+            assert exponent(P) in (7, 49, 343, 2401, 16807), row
+            assert subgroup_closure(P._basis, P).order == 7**5, row
+            assert normal_closure(P._basis, P).order == 7**5, row
+        abelian_invariants_of(derived, P)
+        abelian_invariants_of(center(P), P)
+        ab_from_presentation(P)
+        nilpotency_class(P)
+        for _ in range(3):
+            seeds = [tuple(rng.randrange(7) for _ in range(5))
+                     for _ in range(rng.randrange(1, 3))]
+            subgroup_closure(seeds, P)
+            normal_closure(seeds, P)
+            order_of(seeds[0], P)
+        for s in slots:
+            assert getattr(P, s) is before[s], (row, s)
+            assert getattr(P, s) == copies[s], (row, s)
 
 
 @pytest.mark.parametrize("p, fresh", (
@@ -878,7 +928,7 @@ def test_subgroup_routes_build_no_tables(monkeypatch):
         assert rec.ok, row
         P = build(row, 7)
         assert commutator(generator(2), generator(1), P) == \
-            P.comm_tail(2, 1), row
+            P.comm_tails[2, 1], row
 
 
 def test_quotient_by_derived_subgroup_is_the_abelianization():
