@@ -16,8 +16,8 @@ Iterating that identity over the cyclic factors of A gives the closed form
 implemented below.  The test suite cross-checks it with the independent
 oracles in `oracles` (a relation matrix for the tensor, a concrete
 quadratic model for gamma).  `cokernel_type` is the one Smith form of the
-package: an elimination over Z/p^6, which suffices because every group it
-reads has order dividing p^5.
+package: a sparse elimination over Z/p^6, which suffices because every
+group it reads has order dividing p^5.
 """
 
 from __future__ import annotations
@@ -137,18 +137,21 @@ def gamma(a: AbelianType, prime: int | None = None) -> AbelianType:
 def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     """Type of Z^n / <rows>, computed modulo p^6 (n is the row length).
 
-    Elimination over Z/p^6: pivot on an entry of least p-valuation v,
-    scale its row so the pivot is p^v, clear the pivot's column from the
-    other rows, and drop the row and the column; the pivot gives a part
-    v.  No column operation is needed, since every other entry of the
-    pivot row is a multiple of p^v.  A column that never gets a pivot
-    gives a part 6.
+    Sparse elimination over Z/p^6.  The rows are reduced modulo p^6,
+    and each distinct nonzero one is kept once, as a dict of its nonzero
+    entries.  Pivot on an entry of least p-valuation v, scale its row so
+    the pivot is p^v, clear the pivot's column from the other rows, and
+    drop the row and the column; the pivot gives a part v.  No column
+    operation is needed, since every other entry of the pivot row is a
+    multiple of p^v.  A row that reaches zero relates nothing and is
+    dropped, and a column that never gets a pivot gives a part 6.
 
     The result is the type of C / p^6 C for the cokernel C: its p-part
     with every part capped at 6, and a free factor read as 6.  Every
     cokernel reduced in this package (G^ab and the abelian subgroups of
     G) has order dividing p^5, so a part of 6 means the relations do not
-    present such a group.  Entries stay below p^6, so nothing grows.
+    present such a group.  Entries stay below p^6, so nothing grows, and
+    a row update touches only the pivot row's nonzero entries.
 
     >>> cokernel_type([[5, 0], [0, 25]], 5)
     (2, 1)
@@ -158,32 +161,56 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     (6, 6)
     """
     q = prime**6
-    live = [[int(x) % q for x in row] for row in rows]
-    cols = list(range(len(live[0]) if live else 0))
+    n = len(rows[0]) if rows else 0
+    distinct = {}
+    for row in rows:
+        r = {}
+        for j, x in enumerate(row):
+            x = int(x) % q
+            if x:
+                r[j] = x
+        if r:
+            distinct[tuple(r.items())] = r
+    live = list(distinct.values())
     parts = []
-    while cols:
-        # the least v with an entry that p^(v+1) does not divide is the
-        # least valuation
-        for v in range(6):
-            m = prime ** (v + 1)
-            hit = next(((i, j) for i, row in enumerate(live)
-                        for j in cols if row[j] % m), None)
-            if hit is not None:
+    while live:
+        # an entry prime does not divide is a unit and ends the search;
+        # otherwise keep the entry of least valuation so far
+        v = 6
+        for i, row in enumerate(live):
+            for j, x in row.items():
+                w, m = 0, prime
+                while w < v and not x % m:
+                    w += 1
+                    m *= prime
+                if w < v:
+                    v, hit = w, (i, j)
+                    if not w:
+                        break
+            if not v:
                 break
-        else:
-            parts += [6] * len(cols)
-            break
         i, j = hit
         pv = prime**v
-        scale = pow(live[i][j] // pv, -1, q)
-        pivot = [x * scale % q for x in live.pop(i)]
+        pivot = live.pop(i)
+        scale = pow(pivot[j] // pv, -1, q)
+        pivot = [(k, x * scale % q) for k, x in pivot.items()]
+        rest = []
         for row in live:
-            c = row[j] // pv
+            c = row.get(j)
             if c:
-                row[:] = [(x - c * y) % q for x, y in zip(row, pivot)]
-        cols.remove(j)
+                c //= pv
+                for k, y in pivot:
+                    x = (row.get(k, 0) - c * y) % q
+                    if x:
+                        row[k] = x
+                    else:
+                        row.pop(k, None)
+                if not row:
+                    continue
+            rest.append(row)
+        live = rest
         parts.append(v)
-    return canon(parts)
+    return canon(parts + [6] * (n - len(parts)))
 
 
 def ab_from_presentation(pres) -> AbelianType:

@@ -72,7 +72,9 @@ one table, read by `_comm`, the only route to a commutator (G' is the
 normal closure of the tails, built with the presentation).  The
 exponent is p times the largest order of the five power tails, since
 g_i^p = tail_i; the constructor computes it too, and an element order
-stops at it.
+stops at it.  The same relation makes g_i^p a read of the power tail,
+not a collection, wherever a closure, the center or a subgroup type
+takes it, and g_i^m for m < p is a normal form already (`_pow`).
 The type of an abelian subgroup is the Smith form of its relative power
 relations, taken modulo p^6.
 
@@ -103,6 +105,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from types import MappingProxyType
 
 from .abelian import AbelianType, _integer, cokernel_type
 
@@ -187,6 +190,8 @@ class PcPresentation:
     `power_tails` may be a dict {i: vector} on 1-based generator indices
     or a full 5-sequence; `comm_tails` a dict {(j, i): vector} with j > i.
     Both accept length-5 exponent vectors; missing entries mean trivial.
+    The attributes hold every relation: `power_tails` a 5-tuple, and
+    `comm_tails` a read-only mapping of all ten pairs (j, i).
     Construction runs the overlaps of `_overlaps` and raises
     InconsistentPresentation if any fails.
 
@@ -270,7 +275,7 @@ class PcPresentation:
         full = {}
         for pair in _PAIRS:
             full[pair] = ct.get(pair, (0, 0, 0, 0, 0))
-        self.comm_tails = full
+        self.comm_tails = MappingProxyType(full)
         self._key = (prime, self.power_tails,
                      tuple(full[pair] for pair in _PAIRS))
         self._conj = {}
@@ -564,7 +569,21 @@ def _overlaps(P: PcPresentation):
 # subgroups as induced pc sequences (collector route)
 
 def _pow(x: Element, m: int, P: PcPresentation) -> Element:
-    """x^m for m >= 0, by square-and-multiply."""
+    """x^m for m >= 0.  A power g_i^m, 0 <= m <= p, of a pc generator is
+    read from the presentation; every other one is square-and-multiply.
+
+    For 0 <= m < p, g_i^m is the exponent vector with m at position i,
+    which is already a normal form, since its exponents lie in [0, p).
+    g_i^p is the power tail t_i, by the defining relation g_i^p = t_i,
+    and the constructor stores t_i as a normal form.
+    """
+    i = _GEN_INDEX.get(x)
+    if i is not None and m <= P.prime:
+        if m == P.prime:
+            return P.power_tails[i]
+        v = [0, 0, 0, 0, 0]
+        v[i] = m
+        return tuple(v)
     acc = IDENTITY
     while m:
         if m & 1:

@@ -2,6 +2,7 @@
 p^6, census recovery."""
 
 import doctest
+import random
 import time
 import types
 
@@ -176,6 +177,82 @@ def test_cokernel_type_examples():
     # a free column and a factor of order p^6 both read as 6
     assert cokernel_type([[1, 0]], 5) == (6,)
     assert cokernel_type([[5**7]], 5) == (6,)
+
+
+def capped_census_type(rows, n, p):
+    """The census type of C / p^6 C, C = Z^n / <rows>: the contract of
+    `cokernel_type`, with a free or missing column read as 6."""
+    ambient = [[p**6 * (i == j) for j in range(n)] for i in range(n)]
+    return census_type(list(rows) + ambient, p)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_cokernel_type_repeated_rows(p):
+    rows = [[p, 2, 0], [0, p**2, 1], [p, 2, 0], [0, 0, p**3]]
+    rows += [rows[0]] * 3 + [rows[1]]
+    assert cokernel_type(rows, p) == capped_census_type(rows, 3, p)
+    assert cokernel_type(rows, p) == cokernel_type(rows[:2] + rows[3:4], p)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_cokernel_type_rows_that_cancel_partway(p):
+    # the last three rows are combinations of the first two, so they
+    # reach zero after two pivots, while the last row still needs one
+    a, b = [1, p, 3, 0], [0, p**2, 2 * p, 5]
+    combos = [[x + y for x, y in zip(a, b)],
+              [3 * x - 2 * y for x, y in zip(a, b)],
+              [-x for x in b]]
+    rows = [a, b] + combos + [[0, 0, p**4, p**3]]
+    assert cokernel_type(rows, p) == capped_census_type(rows, 4, p)
+    assert cokernel_type(rows, p) == cokernel_type([a, b, rows[-1]], p)
+
+
+@pytest.mark.parametrize("n", (1, 3, 5, 15))
+def test_cokernel_type_all_zero_matrix(n):
+    for rows in ([[0] * n], [[0] * n] * 4, [[5**6] * n, [-5**7] * n]):
+        assert cokernel_type(rows, 5) == (6,) * n
+        assert capped_census_type(rows, n, 5) == (6,) * n
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_cokernel_type_negative_and_large_entries(p):
+    # entries count modulo p^6: a shift by a multiple of p^6 and a sign
+    # change of a whole row change nothing
+    rng = random.Random(p)
+    q = p**6
+    for _ in range(30):
+        rows = [[rng.choice((0, 1, -1, p, -p**2, 2 * p**3)) * rng.randint(1, 4)
+                 for _ in range(4)] for _ in range(rng.randint(1, 5))]
+        shifted = [[x + q * rng.randint(-3, 3) for x in row] for row in rows]
+        negated = [[-x for x in row] for row in rows]
+        expected = capped_census_type(rows, 4, p)
+        assert cokernel_type(rows, p) == expected, rows
+        assert cokernel_type(shifted, p) == expected, shifted
+        assert cokernel_type(negated, p) == expected, negated
+
+
+def tail_lattice(rng, p):
+    """A relation lattice shaped like the overlap tails of a presentation
+    of order p^5: 15 columns, 23 to 30 rows with repeats, each row with
+    1 to 11 nonzero entries (mostly one), entries of mixed valuation."""
+    rows = []
+    for _ in range(rng.randint(18, 25)):
+        k = 1 if rng.random() < 0.5 else rng.randint(1, 11)
+        row = [0] * 15
+        for j in rng.sample(range(15), k):
+            row[j] = (rng.choice((1, -1)) * rng.randint(1, p - 1)
+                      * p ** rng.choice((0, 0, 1, 1, 2, 3, 6)))
+        rows.append(row)
+    rows += rng.sample(rows, 5)
+    return rows
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_cokernel_type_on_tail_shaped_lattices(p):
+    rng = random.Random(100 + p)
+    for _ in range(12):
+        rows = tail_lattice(rng, p)
+        assert cokernel_type(rows, p) == capped_census_type(rows, 15, p), rows
 
 
 @given(partitions, st.sampled_from([3, 5, 7]))

@@ -263,7 +263,9 @@ def test_group_reports_a_row_that_breaks_an_identity(capsys, monkeypatch):
                       "  FAIL tensor-order-j2"]
 
 
-@pytest.mark.parametrize("p", (11, 13, 59, 101, 1009))
+# 1009, 1013 and 1019 are the large primes of the classes 1, 5 and 11
+# modulo 12, which decide the tables' parameter conventions
+@pytest.mark.parametrize("p", (11, 13, 59, 101, 1009, 1013, 1019))
 def test_verify_at_more_primes(capsys, p):
     rc, out, _ = run(capsys, "verify", "--prime", str(p))
     assert rc == 0

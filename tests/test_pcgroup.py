@@ -683,7 +683,9 @@ def test_a_presentation_is_complete_when_built(monkeypatch):
         P = build(row, 7)
         P = PcPresentation(7, P.power_tails, P.comm_tails)
         before = {s: getattr(P, s) for s in slots}
-        copies = {s: copy.deepcopy(v) for s, v in before.items()}
+        # a read-only mapping cannot be deep-copied; its contents can
+        copies = {s: copy.deepcopy(dict(v) if s == "comm_tails" else v)
+                  for s, v in before.items()}
         with monkeypatch.context() as m:
             m.setattr(pcgroup, "_collect_into", refuse)
             derived = derived_subgroup(P)
@@ -703,6 +705,47 @@ def test_a_presentation_is_complete_when_built(monkeypatch):
         for s in slots:
             assert getattr(P, s) is before[s], (row, s)
             assert getattr(P, s) == copies[s], (row, s)
+
+
+def test_generator_powers_up_to_p_are_read_not_collected(monkeypatch):
+    # g_i^m, 0 <= m < p, is the normal form with m at g_i, and g_i^p is
+    # the power tail: `_pow` answers both with the collector refused
+    def refuse(*args):
+        raise AssertionError("collected")
+
+    groups = [(row, build(row, 7)) for row in ALL_ROWS]
+    monkeypatch.setattr(pcgroup, "_collect_into", refuse)
+    for row, P in groups:
+        for i in range(1, 6):
+            g = generator(i)
+            for m in range(7):
+                assert pcgroup._pow(g, m, P) == tuple(
+                    m if k == i else 0 for k in range(1, 6)), (row, i, m)
+            assert pcgroup._pow(g, 7, P) == P.power_tails[i - 1], (row, i)
+
+
+def test_generator_powers_past_p_still_square_and_multiply():
+    # the read stops at p: beyond it `_pow` agrees with repeated products
+    for row in ("12", "29", "43", "70"):
+        P = build(row, 5)
+        for i in range(1, 6):
+            g, x = generator(i), IDENTITY
+            for m in range(1, 3 * 5 + 2):
+                x = multiply(x, g, P)
+                assert pcgroup._pow(g, m, P) == x, (row, i, m)
+
+
+def test_comm_tails_are_read_only():
+    # the commutator relations cannot change under a built presentation,
+    # and they still build it again
+    for row in ALL_ROWS:
+        P = build(row, 5)
+        with pytest.raises(TypeError):
+            P.comm_tails[2, 1] = (0, 0, 1, 0, 0)
+        with pytest.raises(TypeError):
+            del P.comm_tails[2, 1]
+        Q = PcPresentation(P.prime, P.power_tails, P.comm_tails)
+        assert Q == P and Q.comm_tails == P.comm_tails, row
 
 
 @pytest.mark.parametrize("p, fresh", (
