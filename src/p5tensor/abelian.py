@@ -144,7 +144,9 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     drop the row and the column; the pivot gives a part v.  No column
     operation is needed, since every other entry of the pivot row is a
     multiple of p^v.  A row that reaches zero relates nothing and is
-    dropped, and a column that never gets a pivot gives a part 6.
+    dropped, and a column that never gets a pivot gives a part 6.  The
+    entries are read as `canon` reads exponents: an integral type is
+    taken, and a float or a string raises ValueError.
 
     The result is the type of C / p^6 C for the cokernel C: its p-part
     with every part capped at 6, and a free factor read as 6.  Every
@@ -166,7 +168,7 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     for row in rows:
         r = {}
         for j, x in enumerate(row):
-            x = int(x) % q
+            x = _integer(x, "relation entries must be integers") % q
             if x:
                 r[j] = x
         if r:

@@ -95,10 +95,15 @@ on every element, and the pc sequences against the table's subgroups.
 
 Because collection is total, the closure of the generators always
 produces exactly p^5 normal forms; detecting a *bad* presentation is
-therefore the job of the 35 overlaps of `_overlaps` (the classical
-well-definedness conditions), not of element counting.  The constructor
-runs them once, and a presentation that fails one raises
-InconsistentPresentation, so every PcPresentation is consistent.
+therefore the job of the 13 overlaps of `_overlaps`, not of element
+counting.  The classical well-definedness conditions are 35 overlaps,
+but 22 of them agree on every presentation whose tails lie above their
+generators: g5 is then central of order p and <g4, g5> is abelian, with
+g4^p and every [g4, g_i] in <g5>, so the 15 overlaps with g5 and the 7
+that only test how g1..g3 act on <g4, g5> hold by the shape of the
+tails (the proof is in `_overlaps`).  The constructor runs the 13 once,
+and a presentation that fails one raises InconsistentPresentation, so
+every PcPresentation is consistent.
 """
 
 from __future__ import annotations
@@ -524,45 +529,94 @@ def normalize(word, P: PcPresentation) -> Element:
     return tuple(out)
 
 
-# the overlaps by generator indices, their labels formatted once
-_TRIPLES = tuple((f"g{k}(g{j} g{i}) != (g{k} g{j})g{i}", k, j, i)
-                 for k in range(3, 6) for j in range(2, k)
-                 for i in range(1, j))
-_POWER_PAIRS = tuple((f"g{j}^p g{i} != g{j}^(p-1)(g{j} g{i})",
-                      f"g{j} g{i}^p != (g{j} g{i})g{i}^(p-1)", j, i)
-                     for j, i in _PAIRS)
-_POWERS = tuple((f"g{i}^p g{i} != g{i} g{i}^p", i) for i in range(1, 6))
+# The 13 overlaps that decide consistency, in the order of their failure
+# lines: (label, kind, generator indices), with the kinds of `_overlaps`.
+# The other 22 overlaps of the classical test agree on every presentation
+# (the proof is in `_overlaps`), so they are not collected.
+_LABELS = {"triple": "g{0}(g{1} g{2}) != (g{0} g{1})g{2}",
+           "left": "g{0}^p g{1} != g{0}^(p-1)(g{0} g{1})",
+           "right": "g{0} g{1}^p != (g{0} g{1})g{1}^(p-1)",
+           "power": "g{0}^p g{0} != g{0} g{0}^p"}
+_OVERLAPS = tuple((_LABELS[kind].format(*ix), kind, ix) for kind, ix in (
+    ("triple", (3, 2, 1)), ("triple", (4, 2, 1)),
+    ("left", (2, 1)), ("right", (2, 1)), ("left", (3, 1)), ("right", (3, 1)),
+    ("left", (3, 2)), ("right", (3, 2)), ("right", (4, 1)), ("right", (4, 2)),
+    ("power", (1,)), ("power", (2,)), ("power", (3,))))
 
 
 def _overlaps(P: PcPresentation):
-    """The 35 overlaps of the consistency test, as (label, left, right):
-    two collections of one word that agree in a consistent presentation.
+    """The 13 overlaps of `_OVERLAPS`, as (label, left, right): two
+    collections of one word, which agree on every presentation exactly
+    when it is consistent.
 
-    For k > j > i the triples g_k (g_j g_i) = (g_k g_j) g_i; for each
-    pair j > i, g_j^p g_i = g_j^(p-1) (g_j g_i) and
-    g_j g_i^p = (g_j g_i) g_i^(p-1); and g_i^p g_i = g_i g_i^p.  Each
-    side is a product of normal forms.  g_j g_i is the normal form
-    g_i g_j t_ji, since g_i^-1 g_j g_i = g_j t_ji (the rule e = 1 of
-    `_conjugate`) and t_ji lies above g_j: the form that the collector
-    reaches for it, so it is written down, not collected.
+    The classical test (Sims, *Computation with Finitely Presented
+    Groups*, CUP 1994, section 9.8) has 35 overlaps: for k > j > i the
+    triples g_k (g_j g_i) = (g_k g_j) g_i ("triple"); for each pair
+    j > i, g_j^p g_i = g_j^(p-1) (g_j g_i) ("left") and
+    g_j g_i^p = (g_j g_i) g_i^(p-1) ("right"); and g_i^p g_i = g_i g_i^p
+    ("power").  Each side is a product of normal forms.  g_j g_i is the
+    normal form g_i g_j t_ji, since g_i^-1 g_j g_i = g_j t_ji (the rule
+    e = 1 of `_conjugate`) and t_ji lies above g_j: the form that the
+    collector reaches for it, so it is written down, not collected.
+
+    The other 22 agree, as collections, on every presentation that the
+    constructor accepts, so the 13 give the verdict and the failure lines
+    of the 35.  By position from the top, with n = 5 and
+    N = <g_(n-1), g_n>, the 22 are the 15 overlaps that hold g_n,
+    g_(n-1)^p g_i for i <= n - 1, g_(n-1) g_(n-2)^p, and
+    g_(n-1) (g_(n-2) g_i) for i < n - 2.  Every tail lies strictly above
+    its generator, so g_n has trivial tails and blocks nothing: a
+    syllable of it adds to the last exponent, modulo p, wherever it
+    stands, and no other exponent depends on that one.  g_(n-1) meets no
+    blocker, and t_(n-1) and every t_(n-1,i) lie in <g_n>, so syllables
+    at and above g_(n-1) are multiplied exactly in N, abelian of order
+    p^2, and move nothing below.  A lifted g_(n-1)^c goes back past g_i^e
+    as the memo entry g_(n-1)^c t_(n-1,i)^(ec), and it is lifted alone
+    when g_(n-1) is the lowest blocker.  Hence:
+
+    1. with g_n: both sides hold the same g_n letters, modulo p, and
+       without them they are one normal form, g_j g_i, g_i, t_i or 1;
+    2. g_(n-1)^p g_(n-1) is a word in N, and g_(n-1)^p g_i is
+       g_i t_(n-1) on both sides, as g_(n-1)^p t_(n-1,i)^p = t_(n-1);
+    3. g_(n-1) g_(n-2)^p is g_(n-1) t_(n-2) on both sides: the lift and
+       the swap add t_(n-1,n-2)^(p-1) and t_(n-1,n-2);
+    4. g_(n-1) (g_(n-2) g_i) is g_i g_(n-2) on both sides, times the
+       product in N of g_(n-1), t_(n-1,i), t_(n-1,n-2) and t_(n-2,i):
+       g_(n-2) lands after g_i with nothing above it that it fails to
+       commute with (rule 1 lifts g_(n-1) along with g_(n-2) when it
+       must), so each side meets each factor once.
+
+    As groups (the top-down cyclic extensions G_k = <g_k, ..., g_n>),
+    the 22 ask that N is a group on which each g_i acts by an
+    automorphism that respects [g_(n-1), g_(n-2)] = t_(n-1,n-2), with
+    g_(n-2)^p acting as t_(n-2) does; the shapes of the tails force it.
+    The 13 are the rest: g_k (g_j g_i) with j < n - 2 and k < n,
+    g_j^p g_i with j < n - 1, g_j g_i^p with i < n - 2 and j < n, and
+    g_i^p g_i with i < n - 1.
     """
     g = (None,) + _GENS
     tails = (None,) + P.power_tails
     q = P.prime - 1
-    last = (None, (q, 0, 0, 0, 0), (0, q, 0, 0, 0), (0, 0, q, 0, 0),
-            (0, 0, 0, q, 0), (0, 0, 0, 0, q))
-    swap = {}
-    for j, i in _PAIRS:
+    last = (None,) + tuple(tuple(q * x for x in v) for v in _GENS)
+
+    def swap(j, i):
         x = list(P.comm_tails[j, i])
         x[i - 1] = x[j - 1] = 1
-        swap[j, i] = tuple(x)
-    for label, k, j, i in _TRIPLES:
-        yield label, _mul(g[k], swap[j, i], P), _mul(swap[k, j], g[i], P)
-    for label_j, label_i, j, i in _POWER_PAIRS:
-        yield label_j, _mul(tails[j], g[i], P), _mul(last[j], swap[j, i], P)
-        yield label_i, _mul(g[j], tails[i], P), _mul(swap[j, i], last[i], P)
-    for label, i in _POWERS:
-        yield label, _mul(tails[i], g[i], P), _mul(g[i], tails[i], P)
+        return tuple(x)
+
+    for label, kind, ix in _OVERLAPS:
+        if kind == "triple":
+            k, j, i = ix
+            yield label, _mul(g[k], swap(j, i), P), _mul(swap(k, j), g[i], P)
+        elif kind == "left":
+            j, i = ix
+            yield label, _mul(tails[j], g[i], P), _mul(last[j], swap(j, i), P)
+        elif kind == "right":
+            j, i = ix
+            yield label, _mul(g[j], tails[i], P), _mul(swap(j, i), last[i], P)
+        else:
+            i, = ix
+            yield label, _mul(tails[i], g[i], P), _mul(g[i], tails[i], P)
 
 
 # ---------------------------------------------------------------------------

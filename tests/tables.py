@@ -13,9 +13,9 @@ comparison.  The table holds p^5 entries per generator, so TableGroup
 refuses p > 13.
 
 `LetterCollector` collects one letter per unit of exponent, lifting with
-the single conjugates g_k [g_k, g_j]; `letter_consistency_ok` runs the
-consistency triples on it, from raw presentation data that need not
-define a group.
+the single conjugates g_k [g_k, g_j]; `letter_overlaps` runs the 35
+overlaps of the classical consistency test on it (the constructor runs
+13 of them), from raw presentation data that need not define a group.
 """
 
 import numpy as np
@@ -101,31 +101,43 @@ class LetterCollector:
         return tuple(out)
 
 
-def letter_consistency_ok(P) -> bool:
-    """The 35 overlaps that the PcPresentation constructor runs, collected
-    letter by letter.  `P` needs only `prime`, the five `power_tails`
-    and the ten `comm_tails`, so it may be data that fails them."""
-    p, collect = P.prime, LetterCollector(P).collect
+def classical_overlaps(P, product):
+    """The 35 overlaps of the classical consistency test, as (label, left,
+    right), with the labels of the constructor's failure lines: for
+    k > j > i the triples g_k (g_j g_i) = (g_k g_j) g_i; for each pair
+    j > i, g_j^p g_i = g_j^(p-1) (g_j g_i) and
+    g_j g_i^p = (g_j g_i) g_i^(p-1); and g_i^p g_i = g_i g_i^p.  Each side
+    is collected as a product of normal forms, `product(u, v)` the normal
+    form of u v.  `P` needs only `prime` and the five `power_tails`."""
+    q = P.prime - 1
+    g = [None] + [tuple(int(m == i) for m in range(5)) for i in range(5)]
+    last = [None] + [tuple(q * x for x in v) for v in g[1:]]
+    tails = [None] + list(P.power_tails)
     for k in range(3, 6):
         for j in range(2, k):
             for i in range(1, j):
-                if collect([k] + _letters(collect([j, i]))) != \
-                        collect(_letters(collect([k, j])) + [i]):
-                    return False
+                yield (f"g{k}(g{j} g{i}) != (g{k} g{j})g{i}",
+                       product(g[k], product(g[j], g[i])),
+                       product(product(g[k], g[j]), g[i]))
     for j in range(2, 6):
         for i in range(1, j):
-            ji = _letters(collect([j, i]))
-            if collect(_letters(P.power_tails[j - 1]) + [i]) != \
-                    collect([j] * (p - 1) + ji):
-                return False
-            if collect([j] + _letters(P.power_tails[i - 1])) != \
-                    collect(ji + [i] * (p - 1)):
-                return False
+            ji = product(g[j], g[i])
+            yield (f"g{j}^p g{i} != g{j}^(p-1)(g{j} g{i})",
+                   product(tails[j], g[i]), product(last[j], ji))
+            yield (f"g{j} g{i}^p != (g{j} g{i})g{i}^(p-1)",
+                   product(g[j], tails[i]), product(ji, last[i]))
     for i in range(1, 6):
-        tail = _letters(P.power_tails[i - 1])
-        if collect(tail + [i]) != collect([i] + tail):
-            return False
-    return True
+        yield (f"g{i}^p g{i} != g{i} g{i}^p",
+               product(tails[i], g[i]), product(g[i], tails[i]))
+
+
+def letter_overlaps(P):
+    """`classical_overlaps` collected letter by letter.  `P` needs only
+    `prime`, the five `power_tails` and the ten `comm_tails`, so it may
+    be data that fails them."""
+    collect = LetterCollector(P).collect
+    return list(classical_overlaps(
+        P, lambda u, v: collect(_letters(u) + _letters(v))))
 
 
 def _rmul1(P: PcPresentation, e: Element, j: int) -> Element:

@@ -179,6 +179,20 @@ def test_cokernel_type_examples():
     assert cokernel_type([[5**7]], 5) == (6,)
 
 
+@pytest.mark.parametrize("rows", ([[2.7, 0], [0, 5.9]], [["25", 0], [0, 5]]),
+                         ids=["float", "string"])
+def test_cokernel_type_refuses_non_integer_entries(rows):
+    # a float is not truncated and a string is not parsed, as in `canon`
+    with pytest.raises(ValueError, match="entries must be integers"):
+        cokernel_type(rows, 5)
+
+
+def test_cokernel_type_accepts_numpy_integers():
+    rows = [[np.int64(25), np.int8(0)], [0, np.int32(5)]]
+    assert cokernel_type(rows, 5) == (2, 1)
+    assert cokernel_type(list(np.array([[25, 0], [0, 5]])), 5) == (2, 1)
+
+
 def capped_census_type(rows, n, p):
     """The census type of C / p^6 C, C = Z^n / <rows>: the contract of
     `cokernel_type`, with a free or missing column read as 6."""

@@ -336,14 +336,32 @@ def test_compute_record_collector_calls_stay_under_the_gate(monkeypatch):
     # conjugate memo, the Burnside basis, orders that stop at exp(G) and
     # the overlaps' swaps in closed form take it to 9 296 (25 084), and
     # powers g_i^m, m <= p, of pc generators read from the presentation
-    # to 6 586 (14 795)
+    # to 6 586 (14 795), and the 13 overlaps that can fail, of the 35 of
+    # the classical test, to 3 385 (11 473)
     counts = _count_pops(monkeypatch)
-    for p, gate in ((7, 6_900), (1009, 15_500)):
+    for p, gate in ((7, 3_550), (1009, 12_020)):
         counts["collections"] = 0
         families._build_cached.cache_clear()
         for rid in list_families():
             compute_record(rid, p)
         assert counts["collections"] <= gate, p
+
+
+def test_construction_work_stays_under_the_gate(monkeypatch):
+    # the collections and syllables popped by the constructor alone, on
+    # fresh presentations of the 72 rows at p = 7 and 1009.  The 35
+    # overlaps of the classical test took 6 390 collections and 11 767
+    # syllables at p = 7 (14 339 and 32 345 at p = 1009); the 13 that can
+    # fail take 3 189 and 6 920 (11 017 and 27 234)
+    counts = _count_pops(monkeypatch)
+    for p, collections, popped in ((7, 3_340, 6_940),
+                                   (1009, 11_540, 27_320)):
+        rows = [build(rid, p) for rid in list_families()]
+        counts.update(collections=0, popped=0)
+        for P in rows:
+            PcPresentation(P.prime, P.power_tails, P.comm_tails)
+        assert counts["collections"] <= collections, (p, counts)
+        assert counts["popped"] <= popped, (p, counts)
 
 
 def _query_calls(rng, p, visit):
@@ -385,7 +403,10 @@ def test_syllables_popped_stay_under_the_gate(monkeypatch):
     # 185 780 and 15 318; the lift and wrap rules of `_collect_into` and
     # the closure exit take them to 142 516 and 14 803 (145 971 and
     # 14 893 without the wrap rule), and the powers of pc generators that
-    # `_pow` reads from the presentation take them to 141 681 and 12 093
+    # `_pow` reads from the presentation take them to 141 681 and 12 093.
+    # The 13 overlaps of the constructor take the second to 7 246; the
+    # first reads 141 753, as construction fills fewer memo entries that
+    # the calls then fill themselves
     counts = _count_pops(monkeypatch)
     families._build_cached.cache_clear()
     rng = random.Random(1)
@@ -400,7 +421,7 @@ def test_syllables_popped_stay_under_the_gate(monkeypatch):
     counts.update(collections=0, popped=0)
     for rid in list_families():
         compute_record(rid, 7)
-    assert counts["popped"] <= 12_130, counts
+    assert counts["popped"] <= 7_270, counts
 
 
 @pytest.mark.parametrize("p", (5, 7))

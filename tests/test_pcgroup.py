@@ -5,6 +5,7 @@ import copy
 import math
 import random
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from p5tensor.pcgroup import (
 )
 
 from tables import (GroupTooLarge, NotNormal, TableGroup,
-                    enumerate_elements, letter_consistency_ok,
+                    classical_overlaps, enumerate_elements, letter_overlaps,
                     order_census_type)
 
 P5 = 5
@@ -311,12 +312,13 @@ def perturbed(P, rng):
                                  comm_tails=comm_tails)
 
 
-def constructs(Q) -> bool:
+def construction_failures(Q) -> tuple:
+    """The failure lines of the data Q, () when it constructs."""
     try:
         PcPresentation(Q.prime, Q.power_tails, Q.comm_tails)
-    except InconsistentPresentation:
-        return False
-    return True
+    except InconsistentPresentation as exc:
+        return exc.failures
+    return ()
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -327,8 +329,9 @@ def test_consistency_verdict_matches_the_letter_collector(p):
         P = build(row, p)
         for _ in range(8):
             Q = perturbed(P, rng)
-            ok = constructs(Q)
-            assert ok == letter_consistency_ok(Q), (row, Q)
+            ok = not construction_failures(Q)
+            assert ok == all(x == y for _, x, y in letter_overlaps(Q)), \
+                (row, Q)
             verdicts.append(ok)
     # the sample holds both verdicts in number
     assert 50 < verdicts.count(False) < len(verdicts) - 50
@@ -338,6 +341,127 @@ def test_consistency_clean_on_good_presentations():
     # construction raises on a failing overlap
     for fam in ("1", "9", "24", "40", "64"):
         build(fam, P5)
+
+
+def random_presentation_data(rng, p, density):
+    """Raw presentation data with each tail exponent above its generator
+    nonzero with probability `density`; it need not define a group."""
+    def tail(low):
+        return tuple(rng.randrange(1, p) if m >= low
+                     and rng.random() < density else 0 for m in range(5))
+    return types.SimpleNamespace(
+        prime=p, power_tails=[tail(i) for i in range(1, 6)],
+        comm_tails={(j, i): tail(j) for j in range(2, 6)
+                    for i in range(1, j)})
+
+
+def unchecked(Q):
+    """A PcPresentation of the data Q built without its overlaps, so that
+    the syllable collector runs on data that may fail them."""
+    with mock.patch.object(pcgroup, "_overlaps", lambda P: ()):
+        return PcPresentation(Q.prime, Q.power_tails, Q.comm_tails)
+
+
+def syllable_overlaps(Q):
+    """The 35 overlaps of the classical test, collected as the
+    constructor collects its 13."""
+    P = unchecked(Q)
+    return list(classical_overlaps(P, lambda u, v: pcgroup._mul(u, v, P)))
+
+
+def test_the_22_unchecked_overlaps_agree_under_both_collectors():
+    # the constructor collects 13 of the 35 overlaps; on a seeded sample
+    # of sparse and dense tails the other 22 agree under the syllable and
+    # the letter collector, the failure lines are those of the 35, and
+    # the verdict is the letter oracle's.  Which overlaps fail may differ
+    # between the two collectors: an inconsistent presentation has no
+    # well-defined collection
+    kept = {label for label, _, _ in pcgroup._OVERLAPS}
+    assert len(kept) == 13
+    rng = random.Random(27)
+    verdicts = []
+    for _ in range(600):
+        Q = random_presentation_data(rng, rng.choice((5, 7, 11)),
+                                     rng.choice((0.1, 0.2, 0.35, 0.6)))
+        by_syllables = syllable_overlaps(Q)
+        by_letters = letter_overlaps(Q)
+        assert [label for label, _, _ in by_letters] == \
+            [label for label, _, _ in by_syllables]
+        for label, x, y in by_syllables + by_letters:
+            assert label in kept or x == y, (label, Q)
+        failures = construction_failures(Q)
+        assert failures == tuple(f"overlap {label}: {x} vs {y}"
+                                 for label, x, y in by_syllables if x != y)
+        ok = not failures
+        assert ok == all(x == y for _, x, y in by_letters), Q
+        verdicts.append(ok)
+    # the sample holds both verdicts in number
+    assert 100 < verdicts.count(False) < len(verdicts) - 100
+
+
+# One presentation for each of the 13 overlaps of the constructor on which
+# it is the only one of the 35 that fails, under either collector: no
+# smaller set of overlaps decides consistency.  (p, power tails,
+# commutator tails, the one failure line)
+LONE_FAILURES = (
+    (5, {}, {(3, 1): (0, 0, 0, 4, 0), (4, 2): (0, 0, 0, 0, 1)},
+     "overlap g3(g2 g1) != (g3 g2)g1: (1, 1, 1, 4, 4) vs (1, 1, 1, 4, 0)"),
+    (5, {}, {(2, 1): (0, 0, 1, 0, 0), (4, 3): (0, 0, 0, 0, 3)},
+     "overlap g4(g2 g1) != (g4 g2)g1: (1, 1, 1, 1, 3) vs (1, 1, 1, 1, 0)"),
+    (5, {2: (0, 0, 0, 2, 0)}, {(4, 1): (0, 0, 0, 0, 3)},
+     "overlap g2^p g1 != g2^(p-1)(g2 g1): "
+     "(1, 0, 0, 2, 1) vs (1, 0, 0, 2, 0)"),
+    (5, {1: (0, 0, 2, 0, 0)}, {(3, 2): (0, 0, 0, 0, 3)},
+     "overlap g2 g1^p != (g2 g1)g1^(p-1): "
+     "(0, 1, 2, 0, 0) vs (0, 1, 2, 0, 1)"),
+    (5, {3: (0, 0, 0, 3, 0)}, {(4, 1): (0, 0, 0, 0, 2)},
+     "overlap g3^p g1 != g3^(p-1)(g3 g1): "
+     "(1, 0, 0, 3, 1) vs (1, 0, 0, 3, 0)"),
+    (5, {1: (0, 1, 0, 0, 0)}, {(3, 2): (0, 0, 0, 0, 1)},
+     "overlap g3 g1^p != (g3 g1)g1^(p-1): "
+     "(0, 1, 1, 0, 1) vs (0, 1, 1, 0, 0)"),
+    (5, {3: (0, 0, 0, 1, 0)}, {(4, 2): (0, 0, 0, 0, 4)},
+     "overlap g3^p g2 != g3^(p-1)(g3 g2): "
+     "(0, 1, 0, 1, 4) vs (0, 1, 0, 1, 0)"),
+    (5, {2: (0, 0, 0, 3, 0)}, {(4, 3): (0, 0, 0, 0, 1)},
+     "overlap g3 g2^p != (g3 g2)g2^(p-1): "
+     "(0, 0, 1, 3, 0) vs (0, 0, 1, 3, 3)"),
+    (5, {1: (0, 2, 0, 0, 0)}, {(4, 2): (0, 0, 0, 0, 1)},
+     "overlap g4 g1^p != (g4 g1)g1^(p-1): "
+     "(0, 2, 0, 1, 2) vs (0, 2, 0, 1, 0)"),
+    (5, {2: (0, 0, 1, 0, 0)}, {(4, 3): (0, 0, 0, 0, 3)},
+     "overlap g4 g2^p != (g4 g2)g2^(p-1): "
+     "(0, 0, 1, 1, 3) vs (0, 0, 1, 1, 0)"),
+    (5, {1: (0, 0, 4, 0, 0)}, {(3, 1): (0, 0, 0, 0, 2)},
+     "overlap g1^p g1 != g1 g1^p: (1, 0, 4, 0, 3) vs (1, 0, 4, 0, 0)"),
+    (5, {2: (0, 0, 3, 0, 0)}, {(3, 2): (0, 0, 0, 2, 0)},
+     "overlap g2^p g2 != g2 g2^p: (0, 1, 3, 1, 0) vs (0, 1, 3, 0, 0)"),
+    (5, {3: (0, 0, 0, 3, 0)}, {(4, 3): (0, 0, 0, 0, 3)},
+     "overlap g3^p g3 != g3 g3^p: (0, 0, 1, 3, 4) vs (0, 0, 1, 3, 0)"),
+)
+
+
+@pytest.mark.parametrize("p, power_tails, comm_tails, line", LONE_FAILURES,
+                         ids=[line.split(" != ")[0].removeprefix("overlap ")
+                              .replace(" ", "_") for *_, line in LONE_FAILURES])
+def test_each_overlap_is_the_only_one_that_fails_somewhere(
+        p, power_tails, comm_tails, line):
+    with pytest.raises(InconsistentPresentation) as exc:
+        PcPresentation(p, power_tails, comm_tails)
+    assert exc.value.failures == (line,)
+    Q = types.SimpleNamespace(
+        prime=p, power_tails=[power_tails.get(i, IDENTITY) for i in
+                              range(1, 6)],
+        comm_tails={(j, i): comm_tails.get((j, i), IDENTITY)
+                    for j in range(2, 6) for i in range(1, j)})
+    label = line.removeprefix("overlap ").split(":")[0]
+    assert [lb for lb, x, y in letter_overlaps(Q) if x != y] == [label]
+
+
+def test_the_lone_failures_cover_the_13_overlaps():
+    assert sorted(line.removeprefix("overlap ").split(":")[0]
+                  for *_, line in LONE_FAILURES) == \
+        sorted(label for label, _, _ in pcgroup._OVERLAPS)
 
 
 # --- subgroups, quotients, invariants --------------------------------------
