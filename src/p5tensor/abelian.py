@@ -146,7 +146,8 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     multiple of p^v.  A row that reaches zero relates nothing and is
     dropped, and a column that never gets a pivot gives a part 6.  The
     entries are read as `canon` reads exponents: an integral type is
-    taken, and a float or a string raises ValueError.
+    taken, and a float or a string raises ValueError.  So do rows of
+    unequal length; `rows` may be a 2-D array.
 
     The result is the type of C / p^6 C for the cokernel C: its p-part
     with every part capped at 6, and a free factor read as 6.  Every
@@ -163,9 +164,11 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     (6, 6)
     """
     q = prime**6
-    n = len(rows[0]) if rows else 0
+    n = len(rows[0]) if len(rows) else 0
     distinct = {}
     for row in rows:
+        if len(row) != n:
+            raise ValueError("relation rows must have equal length")
         r = {}
         for j, x in enumerate(row):
             x = _integer(x, "relation entries must be integers") % q

@@ -23,15 +23,15 @@ demand: the dict entry (j, m, e, c) holds g_j^-e g_m^c g_j^e in normal
 form.  A syllable g_m^c of w with [g_m, g_j] = 1 is its own conjugate
 and goes back unchanged, so the memo holds entries of the pairs with
 [g_m, g_j] != 1 only.  Two rules of `_collect_into`, with their proofs
-there, keep syllables that need not move in the normal form:
+there, keep syllables that need not move in the normal form; both read
+the movers `moving` of `PcPresentation`:
 
-1. rule 1, the lift: g_m^c stays when [g_m, g_j] = 1 and g_m
-   commutes with every generator from the lowest one of w up, since it
-   then commutes with g_j and with w, and can be moved in front of
-   g_j^e;
+1. rule 1, the lift: g_m^c stays when [g_m, g_j] = 1 and g_m is not
+   in `moving[k]`, g_k the lowest generator of w, since it then
+   commutes with g_j and with w, and can be moved in front of g_j^e;
 2. rule 2, the wrap: when g_j^p wraps to its tail t_j, the syllables
-   above every generator that t_j holds or that fails to commute with
-   some g_i, i > j, stay, since they commute with t_j and with the rest.
+   above t_j and above `moving[j + 1]` stay, since they commute with
+   t_j and with the rest.
 
 g5 is central in every presentation, so it never moves.  Conjugation by
 g_j^e is an automorphism phi_e of <g_(j+1), ...>, and
@@ -109,7 +109,6 @@ every PcPresentation is consistent.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from types import MappingProxyType
 
 from .abelian import AbelianType, _integer, cokernel_type
@@ -177,6 +176,23 @@ def _as_vec(value, prime: int) -> tuple:
     return vec
 
 
+def _tail(value, prime: int, key) -> tuple:
+    """The tail of a relation read as a normal form: of g_i^p for
+    key = (i,), of [g_j, g_i] for key = (j, i).  Every generator that it
+    holds must lie strictly above g_i, or g_j: the shape that the
+    collector and the 13 overlaps of `_overlaps` rest on."""
+    vec = _as_vec(value, prime)
+    low = key[0]
+    if any(vec[:low]):
+        m = 1 + next(m for m in range(low) if vec[m])
+        name, base = ((f"power tail of g{low}", "the base generator")
+                      if len(key) == 1 else
+                      (f"tail of [g{low},g{key[1]}]", "g_j"))
+        raise ValueError(f"{name} uses g{m}; "
+                         f"support must lie strictly above {base}")
+    return vec
+
+
 def word(vec) -> str:
     """A normal form as display text, "g1 g3^2" for (1, 0, 2, 0, 0)."""
     return " ".join(f"g{m}^{e}" if e > 1 else f"g{m}"
@@ -204,14 +220,19 @@ class PcPresentation:
     memo, maps (j, m, e, c), m > j, to the syllables of
     g_j^-e g_m^c g_j^e in stack order, filled by `_conjugate`;
     `_blockers[j]` holds the k > j with [g_k, g_j] != 1, ascending;
-    `_lifts[j][k]` the positions that a syllable g_j^e whose lowest
-    blocker is g_k lifts, and `_suffix[j]` the exponents of g_j^p from
-    g_(j+1) up to the highest position that its wrap lifts, or () when
-    g_j^p = 1 (rules 1 and 2 of `_collect_into`); `_inv_tails[i - 1]` the
-    syllables of (g_i^p)^-1; and `_comms[a - 1][i - 1]` the commutator
-    [g_a, g_i]: the tail of (a, i) for a > i, its inverse for a < i, the
-    identity for a = i.  The keys of `_conj` are those of the pairs in
-    `_blockers` alone: a commuting pair is never looked up.
+    `_inv_tails[i - 1]` the syllables of (g_i^p)^-1; and
+    `_comms[a - 1][i - 1]` the commutator [g_a, g_i]: the tail of (a, i)
+    for a > i, its inverse for a < i, the identity for a = i.  The keys
+    of `_conj` are those of the pairs in `_blockers` alone: a commuting
+    pair is never looked up.
+
+    Rules 1 and 2 of `_collect_into` read the movers, built here and not
+    kept: `moving[k]` holds the g_m, m >= k, that fail to commute with
+    some g_i, i >= k, the members of the pairs (i, `_blockers[i]`).
+    `_lifts[j][k]`, k in `_blockers[j]`, holds the m >= k in
+    `_blockers[j]` or `moving[k]`, descending, and `_suffix[j]` the
+    exponents of t_j = g_j^p from g_(j+1) up to the highest of j,
+    `moving[j + 1]` and the support of t_j, or () when t_j = 1.
 
     The constructor then reads off what the presentation knows, in this
     order: `_phi`, an echelon form over F_p of the power and commutator
@@ -249,18 +270,12 @@ class PcPresentation:
                              "power tail index must be an integer")
                 if not 1 <= i <= 5:
                     raise ValueError(f"bad power tail index {i}")
-                pt[i - 1] = _as_vec(v, prime)
+                pt[i - 1] = _tail(v, prime, (i,))
         else:
             seq = list(power_tails)
             if len(seq) != 5:
                 raise ValueError("power_tails sequence must have length 5")
-            pt = [_as_vec(v, prime) for v in seq]
-        for i in range(5):
-            for m in range(5):
-                if pt[i][m] and m + 1 <= i + 1:
-                    raise ValueError(
-                        f"power tail of g{i+1} uses g{m+1}; "
-                        "support must lie strictly above the base generator")
+            pt = [_tail(v, prime, (i,)) for i, v in enumerate(seq, 1)]
         self.power_tails = tuple(pt)
 
         ct = {}
@@ -270,13 +285,7 @@ class PcPresentation:
                         for k in (j, i))
                 if not (1 <= i < j <= 5):
                     raise ValueError(f"bad commutator pair ({j},{i})")
-                vec = _as_vec(v, prime)
-                for m in range(5):
-                    if vec[m] and m + 1 <= j:
-                        raise ValueError(
-                            f"tail of [g{j},g{i}] uses g{m+1}; "
-                            "support must lie strictly above g_j")
-                ct[(j, i)] = vec
+                ct[(j, i)] = _tail(v, prime, (j, i))
         full = {}
         for pair in _PAIRS:
             full[pair] = ct.get(pair, (0, 0, 0, 0, 0))
@@ -284,12 +293,23 @@ class PcPresentation:
         self._key = (prime, self.power_tails,
                      tuple(full[pair] for pair in _PAIRS))
         self._conj = {}
-        self._blockers = (None,) + tuple(
+        self._blockers = blockers = (None,) + tuple(
             tuple(k for k in range(j + 1, 6) if any(full[(k, j)]))
             for j in range(1, 6))
-        self._lifts, tops = _lift_table(self._blockers)
+        moving, lifts = [set()] * 7, [None] * 6
+        for j in range(5, 0, -1):
+            above = blockers[j]
+            moving[j] = moving[j + 1].union(above, (j,) if above else ())
+            if above:
+                row = [None] * 6
+                for i, k in enumerate(above):  # above[i:]: from g_k up
+                    row[k] = tuple(sorted(moving[k].union(above[i:]),
+                                          reverse=True))
+                lifts[j] = tuple(row)
+        self._lifts = tuple(lifts)
         self._suffix = (None,) + tuple(
-            t[j:max(tops[j], *(m for m, x in enumerate(t, 1) if x))]
+            t[j:max(j, *moving[j + 1], *(m for m, x in enumerate(t, 1)
+                                         if x))]
             if any(t) else () for j, t in enumerate(pt, 1))
         failures = [f"overlap {label}: {x} vs {y}"
                     for label, x, y in _overlaps(self) if x != y]
@@ -333,34 +353,6 @@ class PcPresentation:
 
 # ---------------------------------------------------------------------------
 # collection
-
-@lru_cache(maxsize=None)
-def _lift_table(blockers: tuple) -> tuple:
-    """`_lifts` of a presentation with these `_blockers`, and the tops of
-    its wraps, from bitmasks (bit m for g_m).  moving[k] holds the m >= k
-    whose g_m fails to commute with some g_i, i >= k: the pairs
-    (i, blockers[i]), i >= k.  `_lifts[j][k]`, k in blockers[j], holds
-    the positions m >= k, descending, in blockers[j] or moving[k]: those
-    that move when g_k is the lowest blocker of g_j^e (rule 1 of
-    `_collect_into`).  tops[j] is the highest position of moving[j + 1],
-    or j (rule 2).  Memoised: the 72 catalog rows have 13 patterns of
-    blockers."""
-    lifts, tops, moving = [None] * 6, [None] * 6, [0] * 7
-    for j in range(5, 0, -1):
-        tops[j] = max(moving[j + 1].bit_length() - 1, j)
-        bits = 0
-        for k in blockers[j]:
-            bits |= 1 << k
-        moving[j] = moving[j + 1] | (bits | 1 << j if bits else 0)
-        if bits:
-            row = [None] * 6
-            for k in blockers[j]:
-                move = bits | moving[k]
-                row[k] = tuple(m for m in range(5, k - 1, -1)
-                               if move >> m & 1)
-            lifts[j] = tuple(row)
-    return tuple(lifts), tuple(tops)
-
 
 def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
     """The memo entry (j, m, e, c): the syllables of g_j^-e g_m^c g_j^e,
@@ -433,11 +425,12 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
     own conjugate and goes back unchanged, so the memo is read, and
     filled, for the pairs of `_blockers` only.
 
-    Rule 1, the lift: g_m^c stays in `out` when [g_m, g_j] = 1 and g_m
-    commutes with every g_i, i >= k (`_lifts[j][k]` holds the positions
-    that move).  Write the part of `out` at and above g_k as w.  Each
-    staying syllable commutes with every syllable of w, so w = S L, with
-    S the staying syllables and L the lifted ones in their order, and S
+    Rule 1, the lift: g_m^c stays in `out` when g_m is in neither
+    `_blockers[j]` nor `moving[k]`: [g_m, g_j] = 1 and g_m commutes with
+    every g_i, i >= k (`_lifts[j][k]` holds the positions that move).
+    Write the part of `out` at and above g_k as w.  Each staying
+    syllable commutes with every syllable of w, so w = S L, with S the
+    staying syllables and L the lifted ones in their order, and S
     commutes with g_j.  Hence out g_j^e = u S L g_j^e = u g_j^e S
     L^(g_j^e), u the part below g_k, where u g_j^e is u with e added at
     g_j (the syllables of u between g_j and g_k commute with g_j; rule 2
@@ -448,12 +441,12 @@ def _collect_into(out: list, stack: list, P: PcPresentation) -> None:
     Rule 2, the wrap: when the exponent s = out[j] + e reaches p,
     g_j^p wraps to its tail t_j, which goes right above g_j; the part V
     of `out` above g_j is lifted off and collected after it, up to
-    `top`, the highest generator that t_j holds or that fails to commute
-    with some g_i, i > j (`_suffix[j]` holds t_j up to `top`).  The
-    syllables above `top` stay: they commute with all of G_(j+1), which
-    holds t_j and V, so V = L S with S those syllables, t_j L S =
-    t_j S L, and t_j S is the normal form of t_j with S in its place, as
-    t_j has nothing above `top`.
+    `top`, the highest generator that t_j or `moving[j + 1]` holds
+    (`_suffix[j]` holds t_j up to `top`).  The syllables above `top`
+    stay: they commute with all of G_(j+1), which holds t_j and V, so
+    V = L S with S those syllables, t_j L S = t_j S L, and t_j S is the
+    normal form of t_j with S in its place, as t_j has nothing above
+    `top`.
     """
     p, conj, blockers, lifts, suffix = (P.prime, P._conj, P._blockers,
                                         P._lifts, P._suffix)

@@ -8,8 +8,9 @@ from tables import TableGroup, _rmul1
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run the slow p = 11 sweeps of the collector and the pc "
-             "sequences against the tables",
+        help="run the slow sweeps: the collector and the pc sequences "
+             "against the tables at p = 11, every row at every prime up to "
+             "101, and every parameter value at 1009, 1013, 1019 and 1039",
     )
 
 

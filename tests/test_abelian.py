@@ -193,6 +193,19 @@ def test_cokernel_type_accepts_numpy_integers():
     assert cokernel_type(list(np.array([[25, 0], [0, 5]])), 5) == (2, 1)
 
 
+def test_cokernel_type_reads_a_2d_array_by_its_rows():
+    assert cokernel_type(np.array([[25, 0], [0, 5]]), 5) == (2, 1)
+
+
+@pytest.mark.parametrize("rows", ([[5], [0, 25, 0]], [[5, 0, 0], [25]]),
+                         ids=["short-first", "short-last"])
+def test_cokernel_type_refuses_ragged_rows(rows):
+    # the row length is the number of generators, so rows that disagree
+    # present no group; unchecked, these read as (2, 1) and (6, 6, 1)
+    with pytest.raises(ValueError, match="rows must have equal length"):
+        cokernel_type(rows, 5)
+
+
 def capped_census_type(rows, n, p):
     """The census type of C / p^6 C, C = Z^n / <rows>: the contract of
     `cokernel_type`, with a free or missing column read as 6."""

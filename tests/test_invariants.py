@@ -469,6 +469,22 @@ def test_every_parameter_value_passes_at_p13():
     assert count == 66
 
 
+# one large prime of each class modulo 12 (1, 5, 11 and 7), with the
+# number of instances that `parameter_values` gives there
+@pytest.mark.slow
+@pytest.mark.parametrize("p, instances", ((1009, 5544), (1013, 5566),
+                                          (1019, 5599), (1039, 5709)))
+def test_every_parameter_value_passes_at_a_large_prime(p, instances):
+    count = 0
+    for rid in list_families():
+        for params in parameter_values(rid, p):
+            rec = compute_record(rid, p, params)
+            validate(rec)
+            assert rec.ok, (rid, p, params)
+            count += 1
+    assert count == instances
+
+
 @pytest.mark.slow
 def test_every_row_passes_at_every_prime_up_to_101():
     for p in (q for q in range(5, 102) if _is_prime(q)):

@@ -4,6 +4,7 @@ power-commutator presentations."""
 import copy
 import math
 import random
+import re
 import types
 from unittest import mock
 
@@ -41,9 +42,9 @@ from p5tensor.pcgroup import (
     _conjugate,
 )
 
-from tables import (GroupTooLarge, NotNormal, TableGroup,
-                    classical_overlaps, enumerate_elements, letter_overlaps,
-                    order_census_type)
+from tables import (GroupTooLarge, LetterCollector, NotNormal, TableGroup,
+                    _letters, classical_overlaps, enumerate_elements,
+                    letter_overlaps, order_census_type)
 
 P5 = 5
 
@@ -287,6 +288,30 @@ def test_commutator_pairs_must_be_integers():
         == heisenberg()
 
 
+@pytest.mark.parametrize("power_tails, comm_tails, message", (
+    ({3: (0, 0, 1, 0, 0)}, None, "power tail of g3 uses g3; support must "
+     "lie strictly above the base generator"),
+    ({3: (0, 1, 0, 1, 0)}, None, "power tail of g3 uses g2; support must "
+     "lie strictly above the base generator"),
+    ([(1, 0, 0, 0, 0)] + [IDENTITY] * 4, None, "power tail of g1 uses g1; "
+     "support must lie strictly above the base generator"),
+    (None, {(3, 1): (0, 1, 0, 0, 0)}, "tail of [g3,g1] uses g2; support "
+     "must lie strictly above g_j"),
+    (None, {(3, 1): (0, 0, 1, 0, 0)}, "tail of [g3,g1] uses g3; support "
+     "must lie strictly above g_j"),
+    (None, {(5, 4): (0, 0, 0, 0, 2)}, "tail of [g5,g4] uses g5; support "
+     "must lie strictly above g_j")),
+    ids=["power-at", "power-below", "power-sequence", "comm-below",
+         "comm-at", "comm-top"])
+def test_tails_must_lie_strictly_above_their_generator(
+        power_tails, comm_tails, message):
+    # the 13 overlaps of `_overlaps` decide consistency only for tails of
+    # this shape, so a tail at or below its generator is refused before
+    # any collection; [g3, g1] = g2 would otherwise be taken as a group
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PcPresentation(P5, power_tails, comm_tails)
+
+
 def test_tables_stop_at_the_table_limit():
     assert TableGroup(PcPresentation(13)).n == 13**5
     big = PcPresentation(17)
@@ -462,6 +487,38 @@ def test_the_lone_failures_cover_the_13_overlaps():
     assert sorted(line.removeprefix("overlap ").split(":")[0]
                   for *_, line in LONE_FAILURES) == \
         sorted(label for label, _, _ in pcgroup._OVERLAPS)
+
+
+def test_collector_matches_the_letter_collector_beyond_the_catalog():
+    # rules 1 and 2 of `_collect_into` move what the presentation's
+    # blocker pattern says must move; the 72 catalog rows have 13
+    # patterns.  Seeded random consistent presentations reach 43, 32 of
+    # them outside the catalog, and on each one products and words with
+    # powers past p collect as the letter collector collects them
+    catalog = {build(row, P5)._blockers for row in ALL_ROWS}
+    rng = random.Random(28)
+    patterns, consistent = set(), 0
+    for _ in range(3000):
+        Q = random_presentation_data(rng, rng.choice((5, 7, 11)),
+                                     rng.choice((0.1, 0.2, 0.35, 0.6)))
+        try:
+            P = PcPresentation(Q.prime, Q.power_tails, Q.comm_tails)
+        except InconsistentPresentation:
+            continue
+        consistent += 1
+        patterns.add(P._blockers)
+        collect, p = LetterCollector(P).collect, P.prime
+        for _ in range(10):
+            a, b = (tuple(rng.randrange(p) for _ in range(5))
+                    for _ in range(2))
+            assert multiply(a, b, P) == collect(_letters(a) + _letters(b)),\
+                (Q, a, b)
+            w = [(rng.randint(1, 5), rng.randint(1, 2 * p))
+                 for _ in range(rng.randint(2, 6))]
+            assert normalize(w, P) == collect([g for g, e in w
+                                               for _ in range(e)]), (Q, w)
+    assert (consistent, len(catalog), len(patterns),
+            len(patterns - catalog)) == (964, 13, 43, 32)
 
 
 # --- subgroups, quotients, invariants --------------------------------------
