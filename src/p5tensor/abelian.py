@@ -147,7 +147,8 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     dropped, and a column that never gets a pivot gives a part 6.  The
     entries are read as `canon` reads exponents: an integral type is
     taken, and a float or a string raises ValueError.  So do rows of
-    unequal length; `rows` may be a 2-D array.
+    unequal length; `rows` may be a 2-D array, whose columns count even
+    when it has no rows (an empty list has none).
 
     The result is the type of C / p^6 C for the cokernel C: its p-part
     with every part capped at 6, and a free factor read as 6.  Every
@@ -164,7 +165,7 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     (6, 6)
     """
     q = prime**6
-    n = len(rows[0]) if len(rows) else 0
+    n = len(rows[0]) if len(rows) else getattr(rows, "shape", (0,))[-1]
     distinct = {}
     for row in rows:
         if len(row) != n:

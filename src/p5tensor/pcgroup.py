@@ -38,10 +38,13 @@ g_j^e is an automorphism phi_e of <g_(j+1), ...>, and
 phi_e = phi_(e-h) o phi_h, so an entry rests on O(log p) others
 (`_conjugate`), collected inside <g_(j+1), ...>, which reads only
 conjugates by higher generators: the memo fills itself without a cycle.
-The work per syllable does not grow with p, and the memo holds only the
-entries that collection reaches (the overlaps of row 59 fill 157 at
-p = 1009 and 537 at p = 100003), so an in-process `verify` peaks at
-23 MB at p = 20011 and 27 MB at p = 100003 (Python 3.11, x86_64).
+The entries of a pair whose commutator commutes with both generators
+and with itself, with trivial power tails (`_closed`), are written down
+in closed form, with no collection.  The work per syllable does not
+grow with p, and the memo holds only the entries that collection
+reaches (the overlaps of row 59 fill 48 at p = 1009 and 99 at
+p = 100003), so an in-process `verify` peaks at 17 MB at p = 20011 and
+18 MB at p = 100003 (Python 3.11, x86_64).
 
 The element operations (`multiply`, `inverse`, `conjugate`,
 `commutator`, `power`, `order_of`) run on the collector: a product
@@ -76,7 +79,8 @@ stops at it.  The same relation makes g_i^p a read of the power tail,
 not a collection, wherever a closure, the center or a subgroup type
 takes it, and g_i^m for m < p is a normal form already (`_pow`).
 The type of an abelian subgroup is the Smith form of its relative power
-relations, taken modulo p^6.
+relations, taken modulo p^6, or (1, ..., 1), with no Smith form, when
+every p-th power of its sequence is 1.
 
 Rule 3, the closure exit: `subgroup_closure` and `normal_closure`
 return G without collecting when their seeds span G/Phi(G) (`_spans`).
@@ -101,9 +105,10 @@ but 22 of them agree on every presentation whose tails lie above their
 generators: g5 is then central of order p and <g4, g5> is abelian, with
 g4^p and every [g4, g_i] in <g5>, so the 15 overlaps with g5 and the 7
 that only test how g1..g3 act on <g4, g5> hold by the shape of the
-tails (the proof is in `_overlaps`).  The constructor runs the 13 once,
-and a presentation that fails one raises InconsistentPresentation, so
-every PcPresentation is consistent.
+tails (the proof is in `_overlaps`).  Of the 13, the constructor
+collects once those that the blockers and tails of the presentation
+leave able to fail, and a presentation that fails one raises
+InconsistentPresentation, so every PcPresentation is consistent.
 """
 
 from __future__ import annotations
@@ -220,9 +225,13 @@ class PcPresentation:
     memo, maps (j, m, e, c), m > j, to the syllables of
     g_j^-e g_m^c g_j^e in stack order, filled by `_conjugate`;
     `_blockers[j]` holds the k > j with [g_k, g_j] != 1, ascending;
+    `_closed` the pairs (j, m), m in `_blockers[j]`, whose entries
+    `_conjugate` writes down: the letters of t_mj commute with g_j, with
+    g_m and with each other, and have trivial power tails;
     `_inv_tails[i - 1]` the syllables of (g_i^p)^-1; and
     `_comms[a - 1][i - 1]` the commutator [g_a, g_i]: the tail of (a, i)
-    for a > i, its inverse for a < i, the identity for a = i.  The keys
+    for a > i, its inverse for a < i, the identity for a = i.  A trivial
+    tail is its own inverse, so only the others are solved.  The keys
     of `_conj` are those of the pairs in `_blockers` alone: a commuting
     pair is never looked up.
 
@@ -235,12 +244,12 @@ class PcPresentation:
     `moving[j + 1]` and the support of t_j, or () when t_j = 1.
 
     The constructor then reads off what the presentation knows, in this
-    order: `_phi`, an echelon form over F_p of the power and commutator
-    tails as (pivot, row) pairs; `_basis`, a Burnside basis of G, the pc
-    generators at the positions that are not pivots of `_phi`; `_derived`,
-    G' as the normal closure of the commutator tails (it acts with
-    `_basis` and `_comms`); and `_exponent`, exp(G) (`exponent`).  After
-    that only `_conj` grows.
+    order: `_phi`, an echelon form over F_p of the nontrivial power and
+    commutator tails as (pivot, row) pairs; `_basis`, a Burnside basis of
+    G, the pc generators at the positions that are not pivots of `_phi`;
+    `_derived`, G' as the normal closure of the commutator tails (it acts
+    with `_basis` and `_comms`); and `_exponent`, exp(G) (`exponent`).
+    After that only `_conj` grows.
 
     `_basis` generates G: G/Phi(G) is the largest elementary abelian
     quotient of G, so it is F_p^5 modulo the relations of the
@@ -252,8 +261,8 @@ class PcPresentation:
     """
 
     __slots__ = ("prime", "power_tails", "comm_tails", "_key", "_conj",
-                 "_blockers", "_lifts", "_suffix", "_inv_tails", "_comms",
-                 "_derived", "_phi", "_basis", "_exponent")
+                 "_blockers", "_lifts", "_suffix", "_closed", "_inv_tails",
+                 "_comms", "_derived", "_phi", "_basis", "_exponent")
 
     def __init__(self, prime: int, power_tails=None, comm_tails=None):
         prime = _integer(prime, "prime must be an integer")
@@ -311,17 +320,31 @@ class PcPresentation:
             t[j:max(j, *moving[j + 1], *(m for m, x in enumerate(t, 1)
                                          if x))]
             if any(t) else () for j, t in enumerate(pt, 1))
+        closed = []
+        for j in range(1, 5):
+            for m in blockers[j]:
+                letters = [l for l, x in enumerate(full[m, j], 1) if x]
+                if not any(l in blockers[j] or l in blockers[m]
+                           or any(pt[l - 1])
+                           or set(letters).intersection(blockers[l])
+                           for l in letters):
+                    closed.append((j, m))
+        self._closed = frozenset(closed)
         failures = [f"overlap {label}: {x} vs {y}"
                     for label, x, y in _overlaps(self) if x != y]
         if failures:
             raise InconsistentPresentation(failures)
-        self._inv_tails = tuple(_stack(_solve(t, IDENTITY, self)) for t in pt)
-        self._comms = tuple(
-            tuple(full[a, i] if a > i else
-                  _solve(full[i, a], IDENTITY, self) if a < i else IDENTITY
-                  for i in range(1, 6)) for a in range(1, 6))
-        self._phi = tuple(_echelon(self.power_tails + tuple(full.values()),
-                                  prime, []))
+        self._inv_tails = tuple(_stack(_solve(t, IDENTITY, self)) if any(t)
+                                else [] for t in pt)
+        comms = [[IDENTITY] * 5 for _ in range(5)]
+        for j in range(1, 5):
+            for k in blockers[j]:
+                comms[k - 1][j - 1] = full[k, j]
+                comms[j - 1][k - 1] = _solve(full[k, j], IDENTITY, self)
+        self._comms = tuple(map(tuple, comms))
+        self._phi = tuple(_echelon(
+            [t for t in self.power_tails + tuple(full.values()) if any(t)],
+            prime, []))
         pivots = {c for c, _ in self._phi}
         self._basis = tuple(g for i, g in enumerate(_GENS) if i not in pivots)
         self._derived = _closure(full.values(), self, normal=True)
@@ -366,10 +389,32 @@ def _conjugate(P: PcPresentation, j: int, m: int, e: int, c: int) -> list:
     A syllable g_l^v with [g_l, g_j] = 1 is fixed by phi_(e-h) and is
     taken as it is, so the entries that the collector and this recursion
     fill are those of the pairs of `_blockers` alone.
+
+    The pairs of `_closed` skip the recursion: with t = [g_m, g_j] and S
+    the letters of t, each g_l in S commutes with g_j, with g_m and with
+    the rest of S, and has g_l^p = 1.  Their entry (e, c) is written down
+    as g_m^c t^(ec): c at g_m and e c t_l mod p at each g_l in S.  That is
+    the normal form that the recursion collects, on every presentation,
+    consistent or not, by induction along it.  The entry (1, 1) is g_m t.
+    Every product that the recursion collects for the pair is of entries
+    of that shape, whose syllables lie on g_m and S.  A syllable g_m^v or
+    g_l^v (l in S) popped onto such a normal form meets no blocker in it,
+    since S lies above g_m and commutes with g_m and with itself.  So
+    nothing is lifted, and the syllable adds its exponent in place.  At
+    g_m the sum is h + (c - h) = c < p, or 1 for c = 1.  At g_l a sum
+    past p wraps to the trivial tail g_l^p = 1, so it is read mod p.  For
+    c = 1 and e > 1, the syllable g_m of the entry (h, 1) goes to the
+    entry (e - h, 1), and the g_l^v, l in S, go as they are (g_l commutes
+    with g_j).  Either way the exponents add: c at g_m, and at g_l
+    e h t_l + e (c - h) t_l, or h t_l + (e - h) t_l, mod p.
     """
     conj = P._conj
     x = [0, 0, 0, 0, 0]
-    if c > 1:
+    if (j, m) in P._closed:  # g_m^c t^(ec), t = [g_m, g_j]
+        n, p = e * c, P.prime
+        x = [n * v % p for v in P.comm_tails[m, j]]
+        x[m - 1] = c
+    elif c > 1:
         h = c // 2
         for l, v in conj.get((j, m, e, h)) or _conjugate(P, j, m, e, h):
             x[l - 1] = v
@@ -538,9 +583,10 @@ _OVERLAPS = tuple((_LABELS[kind].format(*ix), kind, ix) for kind, ix in (
 
 
 def _overlaps(P: PcPresentation):
-    """The 13 overlaps of `_OVERLAPS`, as (label, left, right): two
-    collections of one word, which agree on every presentation exactly
-    when it is consistent.
+    """The overlaps of `_OVERLAPS` that can fail on P, as (label, left,
+    right): two collections of one word.  The 13 agree on every
+    presentation exactly when it is consistent, and those left out agree
+    on P (below).
 
     The classical test (Sims, *Computation with Finitely Presented
     Groups*, CUP 1994, section 9.8) has 35 overlaps: for k > j > i the
@@ -586,30 +632,87 @@ def _overlaps(P: PcPresentation):
     The 13 are the rest: g_k (g_j g_i) with j < n - 2 and k < n,
     g_j^p g_i with j < n - 1, g_j g_i^p with i < n - 2 and j < n, and
     g_i^p g_i with i < n - 1.
+
+    One of the 13 is left out when its two sides collect to one normal
+    form on P, consistent or not, so `failures` does not change.  A word
+    v fixes g_i (`fixed`) when each letter of v commutes with g_i, that
+    is, forms no pair of `_blockers` with it; g_j fixes g_i exactly when
+    t_ji = 1, and then g_j g_i is g_i g_j.  A syllable g_l^v popped onto
+    a normal form x lands in place, adding v at g_l, when x holds no
+    blocker of g_l and x_l + v < p: rule 1 lifts nothing and rule 2 does
+    not fire.  That holds in particular when x holds nothing at or above
+    g_l.  An overlap is left out when:
+
+    - power i: t_i fixes g_i.  t_i g_i lands g_i, and g_i t_i lands the
+      letters of t_i, one by one: both are g_i t_i.
+    - left (j, i): g_j and t_j fix g_i.  t_j g_i lands g_i: g_i t_j.
+      g_j^(p-1) (g_i g_j) lands g_i, then g_j wraps g_j^p to t_j with
+      nothing above g_j: g_i t_j again.
+    - triple (k, j, i): g_j, g_k and t_kj fix g_i.  (g_j g_k t_kj) g_i
+      lands g_i.  g_k (g_i g_j) lands g_i, then g_j lifts g_k if it is a
+      blocker, which goes back as the entry g_k t_kj and lands above g_j:
+      both are g_i g_j g_k t_kj.
+    - right (j, i): g_j fixes g_i and t_i fixes g_j.  (g_i g_j) g_i^(p-1)
+      wraps g_i^p to t_i, and g_j stays if it lies above the top of
+      `_suffix[i]`, or is pushed back onto t_i, which holds no blocker of
+      it.  g_j t_i lands the letters of t_i, which g_j does not block.
+      Both are t_i with 1 added at g_j, unless t_i has p - 1 there.  Then
+      both wrap g_j^p to t_j: the right side on t_i, pushing its letters
+      up to c, the top of `_suffix[j]`, and keeping those above c; the
+      left side with nothing above g_j, before the letters of t_i above
+      g_j.  So both go on from one state at and below c, with the letters
+      of t_i in (j, c] to pop, and those above c are in place on the
+      right and popped last on the left.  The generators above c lie
+      outside `moving[j + 1]`: they block nothing, no lift at g_k, k > j,
+      moves them, and each wraps to a power tail above it.  So no step at
+      or below c reads the exponents above c (a wrap that overwrites them
+      pushes them back first), the part at and below c takes the same
+      steps on both sides, and the syllables that reach the part above c
+      are the same.  There each step keeps the sum of the syllables in
+      the abelian group that those generators and their power relations
+      define, of order p^r for r generators (a triangular relation
+      matrix with p on its diagonal), so both sides end at the normal
+      form of one sum.
     """
     g = (None,) + _GENS
     tails = (None,) + P.power_tails
     q = P.prime - 1
     last = (None,) + tuple(tuple(q * x for x in v) for v in _GENS)
 
+    clash = [set() for _ in range(6)]
+    for j, above in enumerate(P._blockers[1:], 1):
+        for k in above:
+            clash[j].add(k)
+            clash[k].add(j)
+
     def swap(j, i):
         x = list(P.comm_tails[j, i])
         x[i - 1] = x[j - 1] = 1
         return tuple(x)
 
+    def fixed(v, i):  # every letter of v commutes with g_i
+        return not any(v[l - 1] for l in clash[i])
+
     for label, kind, ix in _OVERLAPS:
         if kind == "triple":
             k, j, i = ix
-            yield label, _mul(g[k], swap(j, i), P), _mul(swap(k, j), g[i], P)
+            if not fixed(swap(k, j), i):
+                yield (label, _mul(g[k], swap(j, i), P),
+                       _mul(swap(k, j), g[i], P))
         elif kind == "left":
             j, i = ix
-            yield label, _mul(tails[j], g[i], P), _mul(last[j], swap(j, i), P)
+            if j in clash[i] or not fixed(tails[j], i):
+                yield (label, _mul(tails[j], g[i], P),
+                       _mul(last[j], swap(j, i), P))
         elif kind == "right":
             j, i = ix
-            yield label, _mul(g[j], tails[i], P), _mul(swap(j, i), last[i], P)
+            if j in clash[i] or not fixed(tails[i], j):
+                yield (label, _mul(g[j], tails[i], P),
+                       _mul(swap(j, i), last[i], P))
         else:
             i, = ix
-            yield label, _mul(tails[i], g[i], P), _mul(g[i], tails[i], P)
+            if not fixed(tails[i], i):
+                yield label, _mul(tails[i], g[i], P), _mul(g[i], tails[i], P)
 
 
 # ---------------------------------------------------------------------------
@@ -959,9 +1062,11 @@ def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
     With s_j^p = prod_(l > j) s_l^c_l over the pc sequence s_1..s_m, the
     rows p e_j - c span the relations among the s_j: they lie in the
     relation lattice and their triangular matrix has determinant p^m,
-    the order of the subgroup.  H must be a subgroup of P itself: its
-    sequence is in P's normal forms, so another presentation would read
-    it wrongly, and raises ValueError.
+    the order of the subgroup.  When every s_j^p is 1 they are p times
+    the identity, and the type (1, ..., 1) is read without the Smith
+    form.  H must be a subgroup of P itself: its sequence is in P's
+    normal forms, so another presentation would read it wrongly, and
+    raises ValueError.
     """
     if H._P is not P:
         raise ValueError("H is a subgroup of another presentation")
@@ -971,13 +1076,16 @@ def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
         for y in seq[a + 1:]:
             if _comm(x, y, P) != IDENTITY:
                 raise NotAbelian(f"generators {x} and {y} do not commute")
+    powers = [_pow(s, p, P) for s in seq]
+    if not any(map(any, powers)):  # the rows are p times the identity
+        return (1,) * len(seq)
     slots = _by_depth(seq)
     column = {_depth(s): j for j, s in enumerate(seq)}
     rows = []
-    for j, s in enumerate(seq):
+    for j, x in enumerate(powers):
         row = [0] * len(seq)
         row[j] = p
-        for d, e in enumerate(_sift(_pow(s, p, P), slots, P)[2]):
+        for d, e in enumerate(_sift(x, slots, P)[2]):
             if e:
                 row[column[d]] -= e - p
         rows.append(row)

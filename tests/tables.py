@@ -15,7 +15,8 @@ refuses p > 13.
 `LetterCollector` collects one letter per unit of exponent, lifting with
 the single conjugates g_k [g_k, g_j]; `letter_overlaps` runs the 35
 overlaps of the classical consistency test on it (the constructor runs
-13 of them), from raw presentation data that need not define a group.
+at most 13 of them), from raw presentation data that need not define a
+group.
 """
 
 import numpy as np

@@ -197,6 +197,14 @@ def test_cokernel_type_reads_a_2d_array_by_its_rows():
     assert cokernel_type(np.array([[25, 0], [0, 5]]), 5) == (2, 1)
 
 
+def test_cokernel_type_keeps_the_columns_of_an_empty_array():
+    # Z^3 with no relations, capped at p^6; a list of no rows cannot say
+    # how many columns it has, so it presents the trivial group
+    assert cokernel_type(np.zeros((0, 3), dtype=int), 5) == (6, 6, 6)
+    assert cokernel_type(np.zeros((0, 0), dtype=int), 5) == ()
+    assert cokernel_type([], 5) == ()
+
+
 @pytest.mark.parametrize("rows", ([[5], [0, 25, 0]], [[5, 0, 0], [25]]),
                          ids=["short-first", "short-last"])
 def test_cokernel_type_refuses_ragged_rows(rows):
