@@ -25,6 +25,7 @@ from .pcgroup import (
     PcPresentation,
     Subgroup,
     abelian_invariants_of,
+    abelianization,
     center,
     commutator,
     conjugate,

@@ -47,6 +47,10 @@ def _integer(value, message: str) -> int:
 def canon(exponents: Iterable[int]) -> AbelianType:
     """Canonical form: drop zero parts, sort non-increasing.
 
+    A plain int is read as it is, any other exponent by `_integer`: an
+    integral type (a bool, a numpy integer) is taken, and a float, a
+    string or a Fraction raises ValueError.
+
     >>> canon([1, 2, 0, 2])
     (2, 2, 1)
     >>> canon([])
@@ -54,7 +58,8 @@ def canon(exponents: Iterable[int]) -> AbelianType:
     """
     parts = []
     for e in exponents:
-        e = _integer(e, "abelian type exponents must be integers")
+        if type(e) is not int:
+            e = _integer(e, "abelian type exponents must be integers")
         if e < 0:
             raise ValueError(f"negative exponent {e} in abelian type")
         if e > 0:
@@ -145,10 +150,11 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
     operation is needed, since every other entry of the pivot row is a
     multiple of p^v.  A row that reaches zero relates nothing and is
     dropped, and a column that never gets a pivot gives a part 6.  The
-    entries are read as `canon` reads exponents: an integral type is
-    taken, and a float or a string raises ValueError.  So do rows of
-    unequal length; `rows` may be a 2-D array, whose columns count even
-    when it has no rows (an empty list has none).
+    entries are read as `canon` reads exponents: a plain int as it is,
+    another integral type by `_integer`, and a float or a string raises
+    ValueError.  So do rows of unequal length; `rows` may be a 2-D
+    array, whose columns count even when it has no rows (an empty list
+    has none).
 
     The result is the type of C / p^6 C for the cokernel C: its p-part
     with every part capped at 6, and a free factor read as 6.  Every
@@ -172,7 +178,9 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
             raise ValueError("relation rows must have equal length")
         r = {}
         for j, x in enumerate(row):
-            x = _integer(x, "relation entries must be integers") % q
+            if type(x) is not int:
+                x = _integer(x, "relation entries must be integers")
+            x %= q
             if x:
                 r[j] = x
         if r:

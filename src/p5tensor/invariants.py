@@ -3,12 +3,15 @@
 Each record pairs what the group engine and the abelian calculus derive
 from a presentation (center, derived subgroup, abelianization, class,
 exponent, quadratic-functor image, wedge and tensor squares) with the
-catalog row's expected values.  Until the Schur multiplier and the
-exterior square are computed from the presentation, a record reads the
-recorded multiplier, and it reads the recorded exterior square when
-neither closed route applies (see `exterior_square`).  Recorded values
-are judged in one place only: `validate` compares the two sides and
-checks the order identities that tie the homological pieces together.
+catalog row's expected values.  The type of G^ab comes from
+`pcgroup.abelianization`, which reads it off |G : G'| and d(G) on most
+rows and takes the Smith form only where those leave two types.  Until
+the Schur multiplier and the exterior square are computed from the
+presentation, a record reads the recorded multiplier, and it reads the
+recorded exterior square when neither closed route applies (see
+`exterior_square`).  Recorded values are judged in one place only:
+`validate` compares the two sides and checks the order identities that
+tie the homological pieces together.
 
 A column of the paper's tables has one name on both sides: `column`
 reads it from an InvariantRecord or an ExpectedRecord, and `json_value`
@@ -18,10 +21,10 @@ is the one conversion of a column value to JSON.
 from __future__ import annotations
 
 from . import families
-from .abelian import (TensorStructure, _Record, _Value, ab_from_presentation,
-                      canon, direct_sum, gamma, order_exponent, wedge_ab)
-from .pcgroup import (abelian_invariants_of, center, derived_subgroup,
-                      exponent, nilpotency_class)
+from .abelian import (TensorStructure, _Record, _Value, canon, direct_sum,
+                      gamma, order_exponent, wedge_ab)
+from .pcgroup import (abelian_invariants_of, abelianization, center,
+                      derived_subgroup, exponent, nilpotency_class)
 
 
 def nabla(P):
@@ -30,7 +33,7 @@ def nabla(P):
     For odd-order groups this is the Whitehead quadratic functor of the
     abelianization, computed here symbolically from the presentation.
     """
-    return gamma(ab_from_presentation(P), prime=P.prime)
+    return gamma(abelianization(P), prime=P.prime)
 
 
 def j2(nab, multiplier):
@@ -102,9 +105,11 @@ _COMPUTED_KEYS = ("center", "derived", "ab", "class", "exponent", "nabla",
 _EXPECTED_KEYS = ("multiplier", "center", "derived", "ab", "class", "nabla",
                   "j2", "wedge", "tensor", "wedge_center", "tensor_center",
                   "sources")
-# the columns that the engine computes and the catalog records
-_STRUCTURAL = ("center", "derived", "ab", "class", "nabla", "j2", "wedge",
-               "tensor")
+# the columns that the engine computes and the catalog records, each with
+# its record field (`_attribute` of the name)
+_STRUCTURAL = (("center", "center"), ("derived", "derived"), ("ab", "ab"),
+               ("class", "cl"), ("nabla", "nabla"), ("j2", "j2"),
+               ("wedge", "wedge"), ("tensor", "tensor"))
 
 
 class Verdict(_Value):
@@ -183,7 +188,7 @@ def compute_record(family, p, params=None):
     expected = families.expected_record(family, p, params)
     p = expected.p
     P = families.build(family, p, params)
-    ab = ab_from_presentation(P)
+    ab = abelianization(P)
     nab = gamma(ab, prime=p)
     derived = abelian_invariants_of(derived_subgroup(P), P)
     wedge = exterior_square(ab, derived, expected.multiplier, expected.wedge)
@@ -219,17 +224,17 @@ def validate(record):
     """
     e = record.expected
     p = record.p
+    row = record.family
     results = []
 
     def add(check, field, passed, detail):
-        slugs = _errata_slugs(record.family, field) if not passed else ()
-        results.append(Verdict(check=check, passed=bool(passed),
-                               detail=detail, errata=slugs))
+        passed = bool(passed)
+        results.append(Verdict(check, passed, detail, () if passed
+                               else _errata_slugs(row, field)))
 
-    for name in _STRUCTURAL:
-        got, want = column(record, name), column(e, name)
-        add(name, _attribute(name), got == want,
-            f"computed {got}, expected {want}")
+    for name, field in _STRUCTURAL:
+        got, want = getattr(record, field), getattr(e, field)
+        add(name, field, got == want, f"computed {got}, expected {want}")
 
     wo = record.wedge.order_exponent
     mo = sum(e.multiplier) + sum(record.derived)

@@ -80,7 +80,9 @@ not a collection, wherever a closure, the center or a subgroup type
 takes it, and g_i^m for m < p is a normal form already (`_pow`).
 The type of an abelian subgroup is the Smith form of its relative power
 relations, taken modulo p^6, or (1, ..., 1), with no Smith form, when
-every p-th power of its sequence is 1.
+every p-th power of its sequence is 1.  The type of G^ab is read off
+|G : G'| and the size of the Burnside basis where those two force it
+(`abelianization`), and is the Smith form of the relations otherwise.
 
 Rule 3, the closure exit: `subgroup_closure` and `normal_closure`
 return G without collecting when their seeds span G/Phi(G) (`_spans`).
@@ -116,7 +118,8 @@ from __future__ import annotations
 import operator
 from types import MappingProxyType
 
-from .abelian import AbelianType, _integer, cokernel_type
+from .abelian import (AbelianType, _integer, ab_from_presentation,
+                      cokernel_type)
 
 Element = tuple  # 5 exponents, each in [0, p)
 
@@ -1053,6 +1056,32 @@ def exponent(P: PcPresentation) -> int:
     p^4.  The constructor reads it off them as `_exponent`.
     """
     return P._exponent
+
+
+def abelianization(P: PcPresentation) -> AbelianType:
+    """Type of G^ab, read off |G : G'| and d(G) where those two force
+    it, and otherwise by `ab_from_presentation`.
+
+    G^ab has order p^n, n = 5 - len(`_derived`), since G' has the p^m
+    elements of its pc sequence of length m.  Its number d of cyclic
+    factors is d(G) = len(`_basis`): d = dim G^ab / pG^ab, and G' <=
+    Phi(G) = G'G^p, so G^ab / pG^ab = G / G'G^p = G / Phi(G), whose
+    dimension is the size of the Burnside basis (see PcPresentation).
+    The type is a partition of n into d positive parts, and n >= 1
+    (G' < G in a p-group).  Three shapes of (n, d) leave one partition:
+    d = n gives (1^n), every part 1; d = n - 1 gives (2, 1^(d-1)), as
+    the d parts exceed 1 by n - d = 1 in all; d = 1 gives (n), and
+    then G is cyclic and n = 5.  The others, (4, 2), (5, 2) and (5, 3),
+    leave two each, and those take the Smith form.
+    """
+    n, d = 5 - len(P._derived), len(P._basis)
+    if d == n:
+        return (1,) * n
+    if d == n - 1:
+        return (2,) + (1,) * (d - 1)
+    if d == 1:
+        return (n,)
+    return ab_from_presentation(P)
 
 
 def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:

@@ -2,6 +2,7 @@
 p^6, census recovery."""
 
 import doctest
+import fractions
 import random
 import time
 import types
@@ -191,6 +192,31 @@ def test_cokernel_type_accepts_numpy_integers():
     rows = [[np.int64(25), np.int8(0)], [0, np.int32(5)]]
     assert cokernel_type(rows, 5) == (2, 1)
     assert cokernel_type(list(np.array([[25, 0], [0, 5]])), 5) == (2, 1)
+
+
+@pytest.mark.parametrize("good", (True, np.int64(2)), ids=["bool", "numpy"])
+def test_integral_entries_that_are_not_plain_ints_are_read(good):
+    # a plain int is read as it is; another integral type takes
+    # operator.index, in `canon` and in `cokernel_type` alike
+    assert canon([good, 3, 0]) == (3, int(good))
+    assert cokernel_type([[good, 5], [0, 25]], 5) == \
+        cokernel_type([[int(good), 5], [0, 25]], 5)
+    assert cokernel_type([[25, good], [0, 125]], 5) == \
+        cokernel_type([[25, int(good)], [0, 125]], 5)
+
+
+@pytest.mark.parametrize("bad", (2.0, "2", fractions.Fraction(2)),
+                         ids=["float", "string", "fraction"])
+def test_non_integral_entries_are_refused_after_plain_ints(bad):
+    # the same messages whether or not plain ints come first
+    with pytest.raises(ValueError) as refused:
+        canon([1, 2, bad])
+    assert str(refused.value) == \
+        f"abelian type exponents must be integers, got {bad!r}"
+    with pytest.raises(ValueError) as refused:
+        cokernel_type([[5, 0], [0, bad]], 5)
+    assert str(refused.value) == \
+        f"relation entries must be integers, got {bad!r}"
 
 
 def test_cokernel_type_reads_a_2d_array_by_its_rows():

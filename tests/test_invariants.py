@@ -18,7 +18,7 @@ from p5tensor import (
     tensor_square,
     validate,
 )
-from p5tensor import families, invariants, pcgroup
+from p5tensor import abelian, families, invariants, pcgroup
 from p5tensor.abelian import ab_from_presentation, canon, direct_sum, \
     order_exponent
 from p5tensor.pcgroup import (
@@ -291,8 +291,8 @@ def test_compute_record_computes_each_invariant_once(monkeypatch, p):
         return Fresh(P.prime, P.power_tails, P.comm_tails)
 
     monkeypatch.setattr(families, "build", fresh_build)
-    monkeypatch.setattr(invariants, "ab_from_presentation",
-                        counting("ab", invariants.ab_from_presentation, 0))
+    monkeypatch.setattr(invariants, "abelianization",
+                        counting("ab", invariants.abelianization, 0))
     monkeypatch.setattr(pcgroup, "_closure", counting_closure)
     monkeypatch.setattr(pcgroup, "_order",
                         counting("order", pcgroup._order, 1))
@@ -347,6 +347,28 @@ def test_compute_record_collector_calls_stay_under_the_gate(monkeypatch):
         for rid in list_families():
             compute_record(rid, p)
         assert counts["collections"] <= gate, p
+
+
+def test_compute_record_smith_forms_stay_under_the_gate(monkeypatch):
+    # a work gate on the Smith forms of the 72 rows at p = 7 and at
+    # p = 1009: one per row for G^ab and 21 for the types of the center
+    # and G' made 93 at both primes; with G^ab read off |G : G'| and d(G)
+    # where they force its type, 9 rows take the Smith form for it, and
+    # 30 calls are left
+    calls = []
+    smith = abelian.cokernel_type
+
+    def counting(rows, prime):
+        calls.append(prime)
+        return smith(rows, prime)
+
+    monkeypatch.setattr(abelian, "cokernel_type", counting)
+    monkeypatch.setattr(pcgroup, "cokernel_type", counting)
+    for p in (7, 1009):
+        calls.clear()
+        for rid in list_families():
+            compute_record(rid, p)
+        assert len(calls) <= 32, p
 
 
 def test_construction_work_stays_under_the_gate(monkeypatch):

@@ -924,6 +924,55 @@ def test_frattini_rank_by_two_routes(p):
             assert not pcgroup._spans(basis[:i] + basis[i + 1:], P), (row, i)
 
 
+# the primes at which the tier-1 suite runs `verify`
+VERIFY_PRIMES = (5, 7, 11, 13, 17, 59, 101, 1009, 1013, 1019, 100003)
+
+
+def test_abelianization_reads_the_smith_form_where_it_is_forced(
+        monkeypatch):
+    # G^ab has order p^n, n = 5 - len(_derived), and d = len(_basis)
+    # cyclic factors; d = n, d = n - 1 and d = 1 force its type, and
+    # only the other (n, d) take the Smith form of ab_from_presentation.
+    # The read equals the Smith form on the 72 rows at every prime that
+    # `verify` runs at here, and on seeded random consistent
+    # presentations.  d = 1 makes G cyclic, so only row 1 has it
+    smith, shapes = [], collections.Counter()
+
+    def counted(P):
+        smith.append(P)
+        return ab_from_presentation(P)
+
+    def check(P, where):
+        smith.clear()
+        got, want = pcgroup.abelianization(P), ab_from_presentation(P)
+        assert got == want, where
+        n, d = sum(want), len(want)
+        assert (n, d) == (5 - len(P._derived), len(P._basis)), where
+        assert bool(smith) == (1 < d < n - 1), where
+        shapes["n" if d == n else "n-1" if d == n - 1 else "1" if d == 1
+               else "smith"] += 1
+
+    monkeypatch.setattr(pcgroup, "ab_from_presentation", counted)
+    for p in VERIFY_PRIMES:
+        shapes.clear()
+        for row in ALL_ROWS:
+            check(build(row, p), (row, p))
+        # 63 rows read the type; the other 9 have (n, d) = (4, 2),
+        # (5, 2) or (5, 3)
+        assert shapes["smith"] == 9 and shapes["1"] == 1, (p, shapes)
+    rng = random.Random(31)
+    shapes.clear()
+    while sum(shapes.values()) < 3000:
+        Q = random_presentation_data(rng, rng.choice((5, 7, 11)),
+                                     rng.choice((0.1, 0.2, 0.35, 0.6)))
+        try:
+            P = PcPresentation(Q.prime, Q.power_tails, Q.comm_tails)
+        except InconsistentPresentation:
+            continue
+        check(P, Q)
+    assert min(shapes[b] for b in ("n", "n-1", "smith")) > 300, shapes
+
+
 def test_a_presentation_is_complete_when_built(monkeypatch):
     # G', exp(G) and the Burnside basis are there when the constructor
     # returns: they answer with the collector refused, and afterwards
