@@ -15,7 +15,6 @@ from .abelian import (
     order_exponent,
     tensor_ab,
     wedge_ab,
-    ab_from_presentation,
 )
 from .pcgroup import (
     Element,
@@ -24,6 +23,7 @@ from .pcgroup import (
     NotAbelian,
     PcPresentation,
     Subgroup,
+    ab_from_presentation,
     abelian_invariants_of,
     abelianization,
     center,

@@ -17,7 +17,8 @@ implemented below.  The test suite cross-checks it with the independent
 oracles in `oracles` (a relation matrix for the tensor, a concrete
 quadratic model for gamma).  `cokernel_type` is the one Smith form of the
 package: a sparse elimination over Z/p^6, which suffices because every
-group it reads has order dividing p^5.
+group it reads has order dividing p^5.  `pcgroup` writes its relation
+rows: nothing here reads a presentation.
 """
 
 from __future__ import annotations
@@ -225,32 +226,6 @@ def cokernel_type(rows: Sequence[Sequence[int]], prime: int) -> AbelianType:
         live = rest
         parts.append(v)
     return canon(parts + [6] * (n - len(parts)))
-
-
-def ab_from_presentation(pres) -> AbelianType:
-    """Abelianization of a power-commutator presentation, via
-    `cokernel_type`.
-
-    Each power relation g_i^p = tail contributes the row p*e_i - tail;
-    each commutator relation forces its tail to vanish.  The cokernel of
-    the stacked matrix is the abelianized group.
-    """
-    p = pres.prime
-    rows = []
-    for i in range(5):
-        row = [0] * 5
-        row[i] = p
-        tail = pres.power_tails[i]
-        for j in range(5):
-            row[j] -= tail[j]
-        rows.append(row)
-    for tail in pres.comm_tails.values():
-        if any(tail):
-            rows.append(list(tail))
-    parts = cokernel_type(rows, p)
-    if 6 in parts:
-        raise ValueError("infinite cokernel: relations miss a generator")
-    return parts
 
 
 def format_type(a: AbelianType, prime: int | None = None) -> str:

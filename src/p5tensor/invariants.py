@@ -4,8 +4,8 @@ Each record pairs what the group engine and the abelian calculus derive
 from a presentation (center, derived subgroup, abelianization, class,
 exponent, quadratic-functor image, wedge and tensor squares) with the
 catalog row's expected values.  The type of G^ab comes from
-`pcgroup.abelianization`, which reads it off |G : G'| and d(G) on most
-rows and takes the Smith form only where those leave two types.  Until
+`pcgroup.abelianization`, which reads it off |G : G'| and d(G) by one
+rule, and takes the Smith form only where those leave two types.  Until
 the Schur multiplier and the exterior square are computed from the
 presentation, a record reads the recorded multiplier, and it reads the
 recorded exterior square when neither closed route applies (see

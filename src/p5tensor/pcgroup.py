@@ -78,11 +78,11 @@ g_i^p = tail_i; the constructor computes it too, and an element order
 stops at it.  The same relation makes g_i^p a read of the power tail,
 not a collection, wherever a closure, the center or a subgroup type
 takes it, and g_i^m for m < p is a normal form already (`_pow`).
-The type of an abelian subgroup is the Smith form of its relative power
-relations, taken modulo p^6, or (1, ..., 1), with no Smith form, when
-every p-th power of its sequence is 1.  The type of G^ab is read off
-|G : G'| and the size of the Burnside basis where those two force it
-(`abelianization`), and is the Smith form of the relations otherwise.
+An abelian group of order p^n with d cyclic factors has the type
+(n - d + 1, 1^(d-1)) when d >= n - 1 or d = 1, and G^ab (|G : G'| = p^n,
+d = d(G); `abelianization`) and a subgroup of exponent p (d = n) are
+read so.  Otherwise the Smith form reads the relations: the subgroup's,
+or the presentation's (`ab_from_presentation`; no other module does).
 
 Rule 3, the closure exit: `subgroup_closure` and `normal_closure`
 return G without collecting when their seeds span G/Phi(G) (`_spans`).
@@ -118,8 +118,7 @@ from __future__ import annotations
 import operator
 from types import MappingProxyType
 
-from .abelian import (AbelianType, _integer, ab_from_presentation,
-                      cokernel_type)
+from .abelian import AbelianType, _integer, cokernel_type
 
 Element = tuple  # 5 exponents, each in [0, p)
 
@@ -1059,8 +1058,8 @@ def exponent(P: PcPresentation) -> int:
 
 
 def abelianization(P: PcPresentation) -> AbelianType:
-    """Type of G^ab, read off |G : G'| and d(G) where those two force
-    it, and otherwise by `ab_from_presentation`.
+    """Type of G^ab: (n - d + 1, 1^(d-1)) when d >= n - 1 or d = 1, and
+    otherwise `ab_from_presentation`, its Smith form.
 
     G^ab has order p^n, n = 5 - len(`_derived`), since G' has the p^m
     elements of its pc sequence of length m.  Its number d of cyclic
@@ -1068,20 +1067,47 @@ def abelianization(P: PcPresentation) -> AbelianType:
     Phi(G) = G'G^p, so G^ab / pG^ab = G / G'G^p = G / Phi(G), whose
     dimension is the size of the Burnside basis (see PcPresentation).
     The type is a partition of n into d positive parts, and n >= 1
-    (G' < G in a p-group).  Three shapes of (n, d) leave one partition:
-    d = n gives (1^n), every part 1; d = n - 1 gives (2, 1^(d-1)), as
-    the d parts exceed 1 by n - d = 1 in all; d = 1 gives (n), and
-    then G is cyclic and n = 5.  The others, (4, 2), (5, 2) and (5, 3),
-    leave two each, and those take the Smith form.
+    (G' < G in a p-group).  Taking 1 from each part leaves a partition
+    of n - d into at most d parts, and when n - d <= 1 or d = 1 there is
+    one, which gives (n - d + 1, 1^(d-1)).  Otherwise 2 <= d <= n - 2,
+    and (n - d, 2, 1^(d-2)) fits too; for n <= 5 that leaves (n, d) =
+    (4, 2), (5, 2) and (5, 3), and those take the Smith form.
     """
     n, d = 5 - len(P._derived), len(P._basis)
-    if d == n:
-        return (1,) * n
-    if d == n - 1:
-        return (2,) + (1,) * (d - 1)
-    if d == 1:
-        return (n,)
+    if d >= n - 1 or d == 1:
+        return (n - d + 1,) + (1,) * (d - 1)
     return ab_from_presentation(P)
+
+
+def ab_from_presentation(pres) -> AbelianType:
+    """Abelianization of a power-commutator presentation, via
+    `cokernel_type`.
+
+    Each power relation g_i^p = tail contributes the row p*e_i - tail;
+    each commutator relation forces its tail to vanish.  The cokernel of
+    the stacked matrix is the abelianized group.
+    """
+    p = pres.prime
+    rows = []
+    for i in range(5):
+        row = [0] * 5
+        row[i] = p
+        tail = pres.power_tails[i]
+        for j in range(5):
+            row[j] -= tail[j]
+        rows.append(row)
+    for tail in pres.comm_tails.values():
+        if any(tail):
+            rows.append(list(tail))
+    return _finite_type(rows, p)
+
+
+def _finite_type(rows, p: int) -> AbelianType:
+    """`cokernel_type` of rows that present a group of order dividing p^5."""
+    parts = cokernel_type(rows, p)
+    if 6 in parts:  # a free factor
+        raise ValueError("infinite cokernel: relations miss a generator")
+    return parts
 
 
 def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
@@ -1092,8 +1118,9 @@ def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
     rows p e_j - c span the relations among the s_j: they lie in the
     relation lattice and their triangular matrix has determinant p^m,
     the order of the subgroup.  When every s_j^p is 1 they are p times
-    the identity, and the type (1, ..., 1) is read without the Smith
-    form.  H must be a subgroup of P itself: its sequence is in P's
+    the identity, and (1, ..., 1), the d = m case of the rule of
+    `abelianization`, is read with no Smith form.  H must be a subgroup
+    of P itself: its sequence is in P's
     normal forms, so another presentation would read it wrongly, and
     raises ValueError.
     """
@@ -1118,7 +1145,4 @@ def abelian_invariants_of(H: Subgroup, P: PcPresentation) -> AbelianType:
             if e:
                 row[column[d]] -= e - p
         rows.append(row)
-    parts = cokernel_type(rows, p)
-    if 6 in parts:
-        raise ValueError("infinite cokernel: relations miss a generator")
-    return parts
+    return _finite_type(rows, p)

@@ -10,7 +10,9 @@ def pytest_addoption(parser):
         "--runslow", action="store_true", default=False,
         help="run the slow sweeps: the collector and the pc sequences "
              "against the tables at p = 11, every row at every prime up to "
-             "101, and every parameter value at 1009, 1013, 1019 and 1039",
+             "101, every parameter value at 1009, 1013, 1019 and 1039, and "
+             "random presentations at p = 5 and 7 that hit every catalog "
+             "key",
     )
 
 

@@ -16,8 +16,10 @@ refuses p > 13.
 the single conjugates g_k [g_k, g_j]; `letter_overlaps` runs the 35
 overlaps of the classical consistency test on it (the constructor runs
 at most 13 of them), from raw presentation data that need not define a
-group.
+group, such as the seeded draws of `random_presentation_data`.
 """
+
+import types
 
 import numpy as np
 
@@ -139,6 +141,18 @@ def letter_overlaps(P):
     collect = LetterCollector(P).collect
     return list(classical_overlaps(
         P, lambda u, v: collect(_letters(u) + _letters(v))))
+
+
+def random_presentation_data(rng, p, density):
+    """Raw presentation data with each tail exponent above its generator
+    nonzero with probability `density`; it need not define a group."""
+    def tail(low):
+        return tuple(rng.randrange(1, p) if m >= low
+                     and rng.random() < density else 0 for m in range(5))
+    return types.SimpleNamespace(
+        prime=p, power_tails=[tail(i) for i in range(1, 6)],
+        comm_tails={(j, i): tail(j) for j in range(2, 6)
+                    for i in range(1, j)})
 
 
 def _rmul1(P: PcPresentation, e: Element, j: int) -> Element:

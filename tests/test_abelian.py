@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from p5tensor import abelian, oracles
 from p5tensor.abelian import (
     EvenOrderUnsupported,
-    ab_from_presentation,
     canon,
     cokernel_type,
     direct_sum,
@@ -25,7 +24,7 @@ from p5tensor.abelian import (
     wedge_ab,
 )
 from p5tensor.oracles import cokernel_order, type_from_order_census
-from p5tensor.pcgroup import PcPresentation
+from p5tensor.pcgroup import PcPresentation, ab_from_presentation
 
 # small partitions, exponents at most 4, at most 4 parts
 partitions = st.lists(st.integers(1, 4), max_size=4).map(canon)

@@ -164,6 +164,18 @@ def test_errata_inventory():
                for e in errata_for("14"))
 
 
+def test_every_erratum_has_its_field():
+    # an erratum with no entry in `_ERRATUM_FIELD` would get field None:
+    # no note in `sources` and no slug on a failing verdict.  Each catalog
+    # erratum has an entry, each entry is a catalog erratum, and each
+    # field named is an ExpectedRecord field
+    slugs = {e["slug"] for e in families._data()["errata"]}
+    assert set(families._ERRATUM_FIELD) == slugs
+    for slug, field in families._ERRATUM_FIELD.items():
+        assert field is None or field in families.ExpectedRecord._fields, \
+            slug
+
+
 def test_raw_multiplier_index_keeps_the_defects():
     listed = [row for _, rows in multiplier_index_raw() for row in rows]
     assert listed.count("12") == 2

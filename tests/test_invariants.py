@@ -1,5 +1,6 @@
 """Homological invariants and the per-row validation verdicts."""
 
+import collections
 import json
 import random
 from pathlib import Path
@@ -19,17 +20,24 @@ from p5tensor import (
     validate,
 )
 from p5tensor import abelian, families, invariants, pcgroup
-from p5tensor.abelian import ab_from_presentation, canon, direct_sum, \
-    order_exponent
+from p5tensor.abelian import canon, direct_sum, order_exponent
 from p5tensor.pcgroup import (
+    InconsistentPresentation,
     PcPresentation,
     _is_prime,
+    ab_from_presentation,
+    abelianization,
+    center,
     commutator,
     derived_subgroup,
+    exponent,
     generator,
     lower_central_series,
+    nilpotency_class,
     normal_closure,
 )
+
+from tables import random_presentation_data
 
 SCHEMA = Path(__file__).resolve().parents[1] / (
     "src/p5tensor/schema/invariant_record.schema.json")
@@ -495,6 +503,57 @@ def test_every_parameter_value_passes_at_p13():
             assert rec.ok, (rid, params)
             count += 1
     assert count == 66
+
+
+def engine_key(P):
+    """(Z(G), G', G^ab, class, exp(G)) of a presentation, by the engine."""
+    return (pcgroup.abelian_invariants_of(center(P), P),
+            pcgroup.abelian_invariants_of(derived_subgroup(P), P),
+            abelianization(P), nilpotency_class(P), exponent(P))
+
+
+def random_keys(p, seed, draws):
+    """The engine keys of the catalog rows at every parameter value at p,
+    and the count of each key among the consistent presentations of
+    `draws` seeded random ones.  A key that no row has fails, with its
+    presentation: a catalog gap or an engine error."""
+    catalog = {engine_key(build(rid, p, params))
+               for rid in list_families()
+               for params in list(parameter_values(rid, p)) or [None]}
+    rng = random.Random(seed)
+    hits = collections.Counter()
+    for _ in range(draws):
+        Q = random_presentation_data(rng, p,
+                                     rng.choice((0.1, 0.2, 0.35, 0.6)))
+        try:
+            P = PcPresentation(Q.prime, Q.power_tails, Q.comm_tails)
+        except InconsistentPresentation:
+            continue
+        key = engine_key(P)
+        assert key in catalog, (p, key, P.relations_text())
+        hits[key] += 1
+    return catalog, hits
+
+
+@pytest.mark.parametrize("p, consistent, hit",
+                         ((5, 1881, 32), (7, 1930, 32)))
+def test_random_presentations_land_on_the_catalog(p, consistent, hit):
+    # every group of order p^5 is a catalog row at some parameter value,
+    # so a consistent presentation has the engine key of some row at the
+    # same prime.  The catalog has 34 keys at each prime, and the seeded
+    # sample hits all but those of rows 1 and 24
+    catalog, hits = random_keys(p, 32, 6000)
+    assert (sum(hits.values()), len(catalog), len(hits)) == \
+        (consistent, 34, hit)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", (5, 7))
+def test_random_presentations_hit_every_catalog_key(p):
+    # about 63 000 consistent presentations at each prime hit all 34
+    # keys; the rarest, row 24's, once
+    catalog, hits = random_keys(p, 33, 200_000)
+    assert set(hits) == catalog, catalog - set(hits)
 
 
 # one large prime of each class modulo 12 (1, 5, 11 and 7), with the

@@ -45,7 +45,8 @@ from p5tensor.pcgroup import (
 
 from tables import (GroupTooLarge, LetterCollector, NotNormal, TableGroup,
                     _letters, classical_overlaps, enumerate_elements,
-                    letter_overlaps, order_census_type)
+                    letter_overlaps, order_census_type,
+                    random_presentation_data)
 
 P5 = 5
 
@@ -367,18 +368,6 @@ def test_consistency_clean_on_good_presentations():
     # construction raises on a failing overlap
     for fam in ("1", "9", "24", "40", "64"):
         build(fam, P5)
-
-
-def random_presentation_data(rng, p, density):
-    """Raw presentation data with each tail exponent above its generator
-    nonzero with probability `density`; it need not define a group."""
-    def tail(low):
-        return tuple(rng.randrange(1, p) if m >= low
-                     and rng.random() < density else 0 for m in range(5))
-    return types.SimpleNamespace(
-        prime=p, power_tails=[tail(i) for i in range(1, 6)],
-        comm_tails={(j, i): tail(j) for j in range(2, 6)
-                    for i in range(1, j)})
 
 
 def unchecked(Q):
